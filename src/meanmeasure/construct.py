@@ -8,21 +8,22 @@ cumulative integration, ``f = F / (x - g(x))`` is the increasing primitive,
 and the density is ``w = g'(x) F / (x - g(x))^2``.
 
 The integrand blows up like ``2 / (x - 1)`` at the pivot, so each branch
-(left and right of 1) is tabulated on a grid geometric in ``|log x|`` and
-interpolated in log-log space, where the singular part of ``log F`` is
-linear.  The two branches are joined by a scale factor calibrated so the
+(left and right of 1) is tabulated on a grid half geometric and half uniform
+in ``|log x|``, and ``log F`` is interpolated in log-log space, where its
+singular part is linear, by cubic Hermite pieces with the ODE's exact
+slopes.  The two branches are joined by a scale factor calibrated so the
 one-sided density limits at 1 agree; measures are only determined up to a
 positive factor, so the anchor normalization ``F(2) = 1`` is harmless.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DomainError,
@@ -35,27 +36,12 @@ from .errors import (
 from .intervals import IntervalSet, normalize
 from .means import mean
 from .measures import MeasureSpec
+from .quadrature import _WG, _XGK
 
-# 7-point Gauss-Legendre rule on [-1, 1], used segment-wise on a grid that
-# is already clustered toward the singular point.
-_GL_X = (
-    -0.9491079123427585,
-    -0.7415311855993945,
-    -0.4058451513773972,
-    0.0,
-    0.4058451513773972,
-    0.7415311855993945,
-    0.9491079123427585,
-)
-_GL_W = (
-    0.1294849661688697,
-    0.2797053914892766,
-    0.3818300505051189,
-    0.4179591836734694,
-    0.3818300505051189,
-    0.2797053914892766,
-    0.1294849661688697,
-)
+# the 7-point Gauss rule embedded in quadrature's Kronrod table, used
+# segment-wise on a grid that is already clustered toward the singular point
+_GAUSS_X = np.array([-_XGK[1], -_XGK[3], -_XGK[5], 0.0, _XGK[5], _XGK[3], _XGK[1]])
+_GAUSS_W = np.array([*_WG, *_WG[2::-1]])
 
 
 @dataclass(frozen=True)
@@ -138,20 +124,27 @@ def ordinary_mean(name: str) -> OrdinaryMean:
 
 
 class _Branch:
-    """One tabulated side of the pivot: grid, log F values, interpolant."""
+    """One tabulated side of the pivot: grid, log F values, gaps, interpolant.
 
-    def __init__(self, side: int, x: np.ndarray, t: np.ndarray,
-                 logF_unit: np.ndarray, anchor_x: float):
+    ``log F`` is a piecewise cubic Hermite in ``v = log t``, ``t = |log x|``,
+    matching the ODE's exact slope ``side * t * x / gap`` at every node
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980).
+    """
+
+    def __init__(self, side: int, x: np.ndarray, logF_unit: np.ndarray,
+                 gap: np.ndarray, anchor_x: float):
         self.side = side  # +1 for x > 1, -1 for x < 1
         self.x = x
-        self.t = t
         self.logF_unit = logF_unit
+        self.gap = gap
         self.anchor_x = anchor_x
-        v = np.log(t)
-        order = np.argsort(v)
-        self.v_min = float(v[order[0]])
-        self.v_max = float(v[order[-1]])
-        self.spline = CubicSpline(v[order], logF_unit[order])
+        t = np.abs(np.log(x))
+        order = np.argsort(t)
+        self._v = np.log(t[order]).tolist()
+        self._y = logF_unit[order].tolist()
+        self._dy = (side * t * x / gap)[order].tolist()
+        self.v_min = self._v[0]
+        self.v_max = self._v[-1]
 
     def eval_logF_unit(self, t_val: float) -> float:
         v = math.log(t_val)
@@ -161,7 +154,13 @@ class _Branch:
             if v > self.v_max + 1e-9:
                 raise DomainError("point outside the tabulated window")
             v = self.v_max
-        return float(self.spline(v))
+        i = min(bisect.bisect_right(self._v, v), len(self._v) - 1) - 1
+        h = self._v[i + 1] - self._v[i]
+        s = (v - self._v[i]) / h
+        y0, dy = self._y[i], self._y[i + 1] - self._y[i]
+        d0, d1 = h * self._dy[i], h * self._dy[i + 1]
+        return y0 + s * (d0 + s * (3.0 * dy - 2.0 * d0 - d1
+                                   + s * (d0 + d1 - 2.0 * dy)))
 
 
 class ConstructedMeasure:
@@ -171,8 +170,6 @@ class ConstructedMeasure:
     limits.  The left branch carries the calibrated joining factor
     ``left_scale``; ``F(x0) = 1`` exactly at the right-branch anchor.
     """
-
-    interpolation_order = 3
 
     def __init__(self, name: str, window: tuple[float, float],
                  section: Callable[[float], float],
@@ -188,18 +185,17 @@ class ConstructedMeasure:
         self.left_scale = left_scale
         self.t_min = t_min
         self.x0 = right.anchor_x if right is not None else left.anchor_x
-        parts_x = []
-        parts_logF = []
-        if left is not None:
-            parts_x.append(left.x)
-            parts_logF.append(left.logF_unit + math.log(left_scale))
-        if right is not None:
-            parts_x.append(right.x)
-            parts_logF.append(right.logF_unit)
-        self.grid = np.concatenate(parts_x)
-        self.logF = np.concatenate(parts_logF)
-        self.f_tab = np.array([self.f(x) for x in self.grid])
-        self.w_tab = np.array([self.w(x) for x in self.grid])
+        branches = [b for b in (left, right) if b is not None]
+        self.grid = np.concatenate([b.x for b in branches])
+        self.logF = np.concatenate(
+            [b.logF_unit + (math.log(left_scale) if b is left else 0.0)
+             for b in branches])
+        gap = np.concatenate([b.gap for b in branches])
+        F = np.exp(self.logF)
+        self.f_tab = F / gap
+        self.w_tab = np.array([section_slope(x) for x in self.grid.tolist()]) \
+            * F / (gap * gap)
+        self.round_trip_max_rel_err = math.nan  # set by build()'s self-check
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -275,39 +271,37 @@ def _tabulate_branch(k: OrdinaryMean, side: int, t_end: float,
     ``side`` +1 tabulates (1, e^t_end], -1 tabulates [e^-t_end, 1);
     the anchor gets log F = 0.
     """
-    t = np.exp(np.linspace(math.log(t_min), math.log(t_end), n))
+    # half the nodes geometric in t, clustered against the pivot, and half
+    # uniform in t, so the far end of the window is resolved too
+    t = np.concatenate([np.geomspace(t_min, t_end, n // 2),
+                        np.linspace(t_min, t_end, n - n // 2)])
     t_anchor = abs(math.log(anchor_x))
-    # keep the anchor as an exact node without near-duplicate neighbors,
-    # which would ill-condition the spline fit
+    # keep the anchor as an exact node without near-duplicate neighbors
     t = t[np.abs(t - t_anchor) > 1e-9 * t_anchor]
     t = np.unique(np.concatenate([t, [t_anchor]]))
     x = np.exp(side * t)
     if exact_end is not None:
         x[-1] = exact_end  # force the window endpoint exactly
-    order = np.argsort(x)
-    x = x[order]
-    t = t[order]
+    x = np.sort(x)
     anchor_idx = int(np.argmin(np.abs(x - anchor_x)))
     x[anchor_idx] = anchor_x
 
-    def integrand(p: float) -> float:
-        gap = p - k.section(p)
-        if side > 0 and gap <= 0.0 or side < 0 and gap >= 0.0:
-            raise NotStrictlyInternal(
-                f"K(1, {p!r}) leaves the open interval between 1 and {p!r}"
-            )
-        return 1.0 / gap
-
-    seg = np.empty(len(x) - 1)
-    for i in range(len(x) - 1):
-        c = 0.5 * (x[i] + x[i + 1])
-        r = 0.5 * (x[i + 1] - x[i])
-        seg[i] = r * math.fsum(
-            wgt * integrand(c + r * node) for node, wgt in zip(_GL_X, _GL_W)
+    # the gap x - K(1, x) at every node and at each segment's Gauss points
+    c = 0.5 * (x[1:] + x[:-1])
+    r = 0.5 * (x[1:] - x[:-1])
+    pts = np.concatenate([x, (c[:, None] + r[:, None] * _GAUSS_X).ravel()])
+    gaps = pts - np.array([k.section(p) for p in pts.tolist()])
+    bad = np.flatnonzero(side * gaps <= 0.0)
+    if len(bad):
+        p = float(pts[bad[0]])
+        raise NotStrictlyInternal(
+            f"K(1, {p!r}) leaves the open interval between 1 and {p!r}"
         )
+    gap = gaps[:len(x)]
+    seg = r * ((1.0 / gaps[len(x):]).reshape(-1, len(_GAUSS_X)) @ _GAUSS_W)
     logF = np.concatenate([[0.0], np.cumsum(seg)])
     logF -= logF[anchor_idx]
-    return _Branch(side, x, t, logF, anchor_x)
+    return _Branch(side, x, logF, gap, anchor_x)
 
 
 def _extrapolate_to_zero(hs: Sequence[float], ys: Sequence[float]) -> float:
@@ -365,8 +359,10 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
     The window must sit inside the mean's domain with positive lower end.
     Returns a :class:`MeasureSpec` whose primitives interpolate the
     tabulation; the underlying :class:`ConstructedMeasure` rides along in
-    its ``construction`` field.  Raises :class:`QuadratureError` when the
-    self-check against ``k`` on probe pairs misses ``max(tol, 1e-6 |k|)``.
+    its ``construction`` field, with the worst relative error of the
+    self-check against ``k`` on probe pairs in ``round_trip_max_rel_err``.
+    Raises :class:`QuadratureError` when that check misses
+    ``max(tol, 1e-6 |k|)``.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
@@ -448,9 +444,11 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
              for i in range(len(spread)) for j in range(i + 1, len(spread))]
     pairs += [(float(ladder[i]), float(ladder[i + 1]))
               for i in range(len(ladder) - 1)]
+    worst = 0.0
     for a, b in pairs:
         got = reconstruct(spec, a, b)
         want = k(a, b)
+        worst = max(worst, abs(got - want) / abs(want))
         if abs(got - want) > max(tol, 1e-6 * abs(want)):
             raise QuadratureError(
                 f"tabulation reproduces K({a:g},{b:g}) as {got!r}, want "
@@ -458,6 +456,7 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
                 f"generates the mean {k.name!r} (its section only pins the "
                 f"mean against 1)"
             )
+    cm.round_trip_max_rel_err = worst
     return spec
 
 

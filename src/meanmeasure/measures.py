@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import DomainError, UnknownMeasure
+from .errors import DomainError, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet
 from .quadrature import quad
 
@@ -129,7 +129,7 @@ class MeasureSpec:
         even where the differences cancel heavily.
         """
         if not (c > 0.0 and math.isfinite(c)):
-            raise ValueError(f"scale must be a positive finite number, got {c!r}")
+            raise DomainError(f"scale must be a positive finite number, got {c!r}")
         base = self.base if isinstance(self, _ScaledMeasure) else self
         factor = c * (self.factor if isinstance(self, _ScaledMeasure) else 1.0)
         w, f, F = base.density, base.cdf, base.antiderivative
@@ -170,7 +170,7 @@ def consistency_errors(spec: MeasureSpec, window: tuple[float, float],
     """
     a, b = window
     if not (a < b):
-        raise ValueError("window must satisfy lo < hi")
+        raise InvalidInterval(f"window must satisfy lo < hi, got {window!r}")
     xs = [a + (b - a) * (i + 0.5) / n for i in range(n)]
     err_Ff = 0.0
     err_fw = 0.0
@@ -212,7 +212,7 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
     """
     a, b = interval
     if not (a < b):
-        raise ValueError("interval must satisfy lo < hi")
+        raise InvalidInterval(f"interval must satisfy lo < hi, got {interval!r}")
     xs = [a + (b - a) * i / (n_probe - 1) for i in range(n_probe)]
     ratios = []
     for x in xs:

@@ -122,6 +122,14 @@ def test_construct_command(capsys):
     assert payload["x0"] == 2.0
 
 
+def test_construct_harmonic_readme_window(capsys):
+    # README's example; the top of the window is the hardest part to tabulate
+    code, out, err = run(capsys, "construct", "--mean", "harmonic",
+                         "--window", "0.25,64")
+    assert code == 0, err
+    assert json.loads(out)["round_trip_max_rel_err"] <= 1e-6
+
+
 def test_sweep_out_file_matches_stdout(tmp_path, capsys):
     args = ("sweep", "--measure", "geometric", "--set", "[1,2]",
             "--shifts", "0,10")

@@ -1,5 +1,6 @@
 """Measure synthesis from a two-argument mean, and its inverse checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -65,6 +66,35 @@ def test_round_trip_against_named_means(built):
                 a, b = float(grid[i]), float(grid[j])
                 assert reconstruct(spec, a, b) == pytest.approx(
                     k(a, b), rel=1e-6), (name, a, b)
+
+
+def test_self_check_error_is_recorded(built):
+    for spec in built.values():
+        assert 0.0 <= spec.construction.round_trip_max_rel_err <= 1e-6
+
+
+def test_narrow_pairs_at_window_top():
+    # pairs at least 1% of the window wide inside its top 2%
+    rng = np.random.default_rng(41)
+    for (lo, hi), name in itertools.product(
+            [WINDOW, (2.0, 50.0)],
+            ["geometric", "harmonic", "logarithmic", "arithmetic"]):
+        width = hi - lo
+        k = ordinary_mean(name)
+        spec = build(k, (lo, hi))
+        for _ in range(40):
+            a = rng.uniform(hi - 0.02 * width, hi - 0.01 * width)
+            b = rng.uniform(a + 0.01 * width, hi)
+            want = k(a, b)
+            assert abs(reconstruct(spec, a, b) - want) <= max(
+                1e-9, 1e-6 * abs(want)), (name, a, b)
+
+
+def test_wide_harmonic_window_at_default_points():
+    k = ordinary_mean("harmonic")
+    spec = build(k, (0.05, 400.0))
+    assert reconstruct(spec, 363.3, 399.6) == pytest.approx(k(363.3, 399.6),
+                                                            rel=1e-6)
 
 
 def test_density_recovered_up_to_scale(built):

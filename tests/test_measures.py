@@ -8,6 +8,7 @@ import pytest
 from meanmeasure import (
     CATALOG_NAMES,
     DomainError,
+    InvalidInterval,
     MeasureSpec,
     UnknownMeasure,
     catalog,
@@ -166,13 +167,21 @@ def test_float_overflow_is_reported():
         catalog("exponential").mu(normalize([(700.0, 710.0)]))
 
 
+def test_reversed_windows_are_invalid_intervals():
+    g = catalog("geometric")
+    with pytest.raises(InvalidInterval):
+        consistency_errors(g, (4.0, 1.0))
+    with pytest.raises(InvalidInterval):
+        density_ratio_increasing(g, catalog("lebesgue"), (4.0, 1.0))
+
+
 def test_scaled_measure():
     g = catalog("geometric")
     g3 = g.scaled(3.0)
     H = normalize([(1, 4)])
     assert g3.mu(H) == pytest.approx(3.0 * g.mu(H), rel=1e-15)
     assert g3.first_moment(H) == pytest.approx(3.0 * g.first_moment(H), rel=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         g.scaled(-1.0)
 
 
