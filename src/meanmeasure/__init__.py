@@ -26,6 +26,7 @@ from .errors import (
     NotIncreasing,
     NotNested,
     NotStrictlyInternal,
+    NotSymmetric,
     ParseError,
     QuadratureError,
     UnknownMeasure,
@@ -82,6 +83,7 @@ __all__ = [
     "NotIncreasing",
     "NotNested",
     "NotStrictlyInternal",
+    "NotSymmetric",
     "OrdinaryMean",
     "ParseError",
     "QuadratureError",

@@ -24,19 +24,7 @@ import tempfile
 import numpy as np
 
 from .construct import build, ordinary_mean
-from .errors import (
-    DomainError,
-    EmptySet,
-    InvalidInterval,
-    MeanMeasureError,
-    NotDisjoint,
-    NotIncreasing,
-    NotNested,
-    NotStrictlyInternal,
-    ParseError,
-    QuadratureError,
-    UnknownMeasure,
-)
+from .errors import InvalidInterval, MeanMeasureError, ParseError, UnknownMeasure
 from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
 from .measures import CATALOG_NAMES, catalog
@@ -44,15 +32,6 @@ from .setparse import evaluate, parse_set
 from .verify import ALL_SUITES, run_suites
 
 _USAGE_ERRORS = (ParseError, InvalidInterval, UnknownMeasure)
-_NUMERIC_ERRORS = (
-    DomainError,
-    QuadratureError,
-    EmptySet,
-    NotDisjoint,
-    NotNested,
-    NotStrictlyInternal,
-    NotIncreasing,
-)
 
 
 # -- deterministic emitters ---------------------------------------------------
@@ -310,11 +289,8 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except MeanMeasureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -11,9 +11,12 @@ The integrand blows up like ``2 / (x - 1)`` at the pivot, so each branch
 (left and right of 1) is tabulated on a grid half geometric and half uniform
 in ``|log x|``, and ``log F`` is interpolated in log-log space, where its
 singular part is linear, by cubic Hermite pieces with the ODE's exact
-slopes.  The two branches are joined by a scale factor calibrated so the
-one-sided density limits at 1 agree; measures are only determined up to a
-positive factor, so the anchor normalization ``F(2) = 1`` is harmless.
+slopes; inside the first node that line is continued.  ``F = 1`` at an
+anchor ``b > 1`` and ``F = s`` at an anchor ``a < 1``.  As ``F(1) = f(1) = 0``,
+the first moment ``int_a^b (x - K(a, b)) dmu`` vanishes exactly when
+``(b - K) f(b) - F(b) = (a - K) f(a) - F(a)``: linear in ``s``, so the
+joining factor comes from the gaps at the anchors alone.  Measures are only
+determined up to a positive factor, so the normalization is harmless.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    EmptySet,
     InvalidInterval,
     NotIncreasing,
     NotStrictlyInternal,
+    NotSymmetric,
     QuadratureError,
     UnknownMeasure,
 )
@@ -37,6 +42,9 @@ from .intervals import IntervalSet, normalize
 from .means import mean
 from .measures import MeasureSpec
 from .quadrature import _WG, _XGK
+
+# each branch's grid starts this far from the pivot in |log x|
+_T_MIN = 1e-9
 
 # the 7-point Gauss rule embedded in quadrature's Kronrod table, used
 # segment-wise on a grid that is already clustered toward the singular point
@@ -131,26 +139,28 @@ class _Branch:
     (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980).
     """
 
-    def __init__(self, side: int, x: np.ndarray, logF_unit: np.ndarray,
+    def __init__(self, side: int, x: np.ndarray, logF: np.ndarray,
                  gap: np.ndarray, anchor_x: float):
         self.side = side  # +1 for x > 1, -1 for x < 1
         self.x = x
-        self.logF_unit = logF_unit
+        self.logF = logF
         self.gap = gap
         self.anchor_x = anchor_x
         t = np.abs(np.log(x))
         order = np.argsort(t)
         self._v = np.log(t[order]).tolist()
-        self._y = logF_unit[order].tolist()
+        self._y = logF[order].tolist()
         self._dy = (side * t * x / gap)[order].tolist()
+        self.t_first, self.dy_first = float(t[order[0]]), self._dy[0]
         self.v_min = self._v[0]
         self.v_max = self._v[-1]
 
-    def eval_logF_unit(self, t_val: float) -> float:
+    def eval_logF(self, t_val: float) -> float:
         v = math.log(t_val)
         if v < self.v_min:
-            v = self.v_min  # inside the excluded hole around 1; F ~ 0 there
-        elif v > self.v_max:
+            # inside the first node: continue the line log F follows there
+            return self._y[0] + self.dy_first * (v - self.v_min)
+        if v > self.v_max:
             if v > self.v_max + 1e-9:
                 raise DomainError("point outside the tabulated window")
             v = self.v_max
@@ -167,15 +177,15 @@ class ConstructedMeasure:
     """Tabulated primitives of a measure synthesized from a two-argument mean.
 
     ``grid`` excludes the pivot x = 1; ``F(1) = f(1) = 0`` are analytic
-    limits.  The left branch carries the calibrated joining factor
-    ``left_scale``; ``F(x0) = 1`` exactly at the right-branch anchor.
+    limits.  ``F(x0) = 1`` exactly at the right-branch anchor, and the left
+    branch's anchor carries the joining factor ``left_scale``.
     """
 
     def __init__(self, name: str, window: tuple[float, float],
                  section: Callable[[float], float],
                  section_slope: Callable[[float], float],
                  right: Optional[_Branch], left: Optional[_Branch],
-                 left_scale: float, t_min: float):
+                 left_scale: float):
         self.name = name
         self.window = window
         self.section = section
@@ -183,13 +193,10 @@ class ConstructedMeasure:
         self._right = right
         self._left = left
         self.left_scale = left_scale
-        self.t_min = t_min
         self.x0 = right.anchor_x if right is not None else left.anchor_x
         branches = [b for b in (left, right) if b is not None]
         self.grid = np.concatenate([b.x for b in branches])
-        self.logF = np.concatenate(
-            [b.logF_unit + (math.log(left_scale) if b is left else 0.0)
-             for b in branches])
+        self.logF = np.concatenate([b.logF for b in branches])
         gap = np.concatenate([b.gap for b in branches])
         F = np.exp(self.logF)
         self.f_tab = F / gap
@@ -199,21 +206,25 @@ class ConstructedMeasure:
 
     # -- pointwise evaluation ------------------------------------------------
 
+    def _branch(self, x: float) -> _Branch:
+        branch = self._right if x > 1.0 else self._left
+        if branch is None:
+            side = "above" if x > 1.0 else "below"
+            raise DomainError(f"no branch {side} 1 was tabulated")
+        return branch
+
     def _gap(self, x: float) -> float:
+        branch, t = self._branch(x), abs(math.log(x))
+        if t < branch.t_first:
+            # x - K(1, x) loses its digits to rounding here: take it from
+            # the slope log F keeps inside the first node
+            return branch.side * t * x / branch.dy_first
         return x - self.section(x)
 
     def log_F(self, x: float) -> float:
-        if x > 1.0:
-            if self._right is None:
-                raise DomainError("no branch above 1 was tabulated")
-            t = max(math.log(x), self.t_min)
-            return self._right.eval_logF_unit(t)
-        if x < 1.0:
-            if self._left is None:
-                raise DomainError("no branch below 1 was tabulated")
-            t = max(-math.log(x), self.t_min)
-            return self._left.eval_logF_unit(t) + math.log(self.left_scale)
-        return -math.inf  # F(1) = 0 limit
+        if x == 1.0:
+            return -math.inf  # F(1) = 0 limit
+        return self._branch(x).eval_logF(abs(math.log(x)))
 
     def F(self, x: float) -> float:
         if x == 1.0:
@@ -228,8 +239,8 @@ class ConstructedMeasure:
     def w(self, x: float) -> float:
         if x == 1.0:
             # density limit at the pivot: evaluate just off it
-            x = math.exp(self.t_min) if self._right is not None \
-                else math.exp(-self.t_min)
+            x = math.exp(_T_MIN) if self._right is not None \
+                else math.exp(-_T_MIN)
         gap = self._gap(x)
         return self.section_slope(x) * self.F(x) / (gap * gap)
 
@@ -254,7 +265,7 @@ def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:
             a, b = float(pts[i]), float(pts[j])
             kab, kba = k(a, b), k(b, a)
             if abs(kab - kba) > 1e-12 * (1.0 + abs(kab)):
-                raise ValueError(
+                raise NotSymmetric(
                     f"mean {k.name!r} is not symmetric at ({a!r}, {b!r})"
                 )
             if not (a < kab < b):
@@ -264,24 +275,23 @@ def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:
 
 
 def _tabulate_branch(k: OrdinaryMean, side: int, t_end: float,
-                     anchor_x: float, n: int, t_min: float,
-                     exact_end: Optional[float]) -> _Branch:
+                     anchor_x: float, log_anchor: float, n: int,
+                     exact_end: float) -> _Branch:
     """Cumulative integral of 1/(x - K(1,x)) along one branch.
 
     ``side`` +1 tabulates (1, e^t_end], -1 tabulates [e^-t_end, 1);
-    the anchor gets log F = 0.
+    the anchor gets log F = ``log_anchor``.
     """
     # half the nodes geometric in t, clustered against the pivot, and half
     # uniform in t, so the far end of the window is resolved too
-    t = np.concatenate([np.geomspace(t_min, t_end, n // 2),
-                        np.linspace(t_min, t_end, n - n // 2)])
+    t = np.concatenate([np.geomspace(_T_MIN, t_end, n // 2),
+                        np.linspace(_T_MIN, t_end, n - n // 2)])
     t_anchor = abs(math.log(anchor_x))
     # keep the anchor as an exact node without near-duplicate neighbors
     t = t[np.abs(t - t_anchor) > 1e-9 * t_anchor]
     t = np.unique(np.concatenate([t, [t_anchor]]))
     x = np.exp(side * t)
-    if exact_end is not None:
-        x[-1] = exact_end  # force the window endpoint exactly
+    x[-1] = exact_end  # force the window endpoint exactly
     x = np.sort(x)
     anchor_idx = int(np.argmin(np.abs(x - anchor_x)))
     x[anchor_idx] = anchor_x
@@ -300,60 +310,30 @@ def _tabulate_branch(k: OrdinaryMean, side: int, t_end: float,
     gap = gaps[:len(x)]
     seg = r * ((1.0 / gaps[len(x):]).reshape(-1, len(_GAUSS_X)) @ _GAUSS_W)
     logF = np.concatenate([[0.0], np.cumsum(seg)])
-    logF -= logF[anchor_idx]
+    logF += log_anchor - logF[anchor_idx]
     return _Branch(side, x, logF, gap, anchor_x)
 
 
-def _extrapolate_to_zero(hs: Sequence[float], ys: Sequence[float]) -> float:
-    """Value at 0 of the polynomial through the points (h_i, y_i)."""
-    tab = list(ys)
-    n = len(tab)
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            tab[i] = (hs[j] * tab[i] - hs[i] * tab[i + 1]) / (hs[j] - hs[i])
-    return tab[0]
+def _left_scale(k: OrdinaryMean, a: float, b: float) -> float:
+    """The factor on ``F`` below 1 that makes the measure's mean of
+    ``[a, b]`` equal ``K(a, b)``, for ``F(a) / factor = F(b) = 1``.
 
-
-def _solve_scale_by_probe(k: OrdinaryMean, right: _Branch, left: _Branch,
-                          section: Callable[[float], float]) -> float:
-    """Fallback joining factor: make the cross-pivot mean exact at the anchors."""
-    a, b = left.anchor_x, right.anchor_x
-    target = k(a, b)
-    Fb = math.exp(right.eval_logF_unit(abs(math.log(b))))
-    fb = Fb / (b - section(b))
-    Fa_u = math.exp(left.eval_logF_unit(abs(math.log(a))))
-    fa_u = Fa_u / (a - section(a))  # negative
-
-    def mismatch(s: float) -> float:
-        val = (b * fb - a * s * fa_u - (Fb - s * Fa_u)) / (fb - s * fa_u)
-        return val - target
-
-    lo_s, hi_s = 1e-12, 1e12
-    f_lo, f_hi = mismatch(lo_s), mismatch(hi_s)
-    if f_lo == 0.0:
-        return lo_s
-    if f_lo * f_hi > 0.0:
-        raise NotStrictlyInternal(
-            "cannot bracket the branch joining factor; mean is not "
-            "representable on this window"
+    With ``f = F / (x - g(x))`` and ``F(1) = f(1) = 0`` the mean condition
+    ``(b - K) f(b) - F(b) = (a - K) f(a) - F(a)`` is linear in the factor.
+    """
+    K, ga, gb = k(a, b), k.section(a), k.section(b)
+    den = (b - gb) * (ga - K)
+    scale = (gb - K) * (a - ga) / den if den != 0.0 else math.nan
+    if not 0.0 < scale < math.inf:
+        raise NotIncreasing(
+            f"mean {k.name!r} does not increase in each argument across 1: "
+            f"K({a!r}, {b!r}) = {K!r} is not between K({a!r}, 1) and K(1, {b!r})"
         )
-    for _ in range(200):
-        mid = math.sqrt(lo_s * hi_s)  # bisect in log space
-        f_mid = mismatch(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi_s = mid
-        else:
-            lo_s, f_lo = mid, f_mid
-        if hi_s / lo_s < 1.0 + 1e-15:
-            break
-    return math.sqrt(lo_s * hi_s)
+    return scale
 
 
 def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
-          points_per_branch: int = 8192, t_min: float = 1e-9) -> MeasureSpec:
+          points_per_branch: int = 8192) -> MeasureSpec:
     """Tabulate the measure generating ``k`` on ``window``.
 
     The window must sit inside the mean's domain with positive lower end.
@@ -371,50 +351,19 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
         raise DomainError(f"window {window!r} exceeds the mean's domain {k.domain!r}")
     _probe_mean(k, window)
 
-    right = None
-    left = None
+    # anchors where F = 1 on the right and F = left_scale on the left; a
+    # window on one side of 1 is anchored at its geometric midpoint
+    mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+    b = mid if lo > 1.0 else 2.0 if hi > 2.0 else math.exp(0.5 * math.log(hi))
+    a = mid if hi < 1.0 else 0.5 if lo < 0.5 else math.exp(0.5 * math.log(lo))
+    left_scale = _left_scale(k, a, b) if lo < 1.0 < hi else 1.0
+    right = left = None
     if hi > 1.0:
-        t_end = math.log(hi)
-        anchor = 2.0 if (1.0 < 2.0 < hi and lo < 2.0) else math.exp(0.5 * t_end)
-        if lo > 1.0:
-            # one-sided window above 1: pick an interior anchor
-            anchor = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        right = _tabulate_branch(k, +1, t_end, anchor, points_per_branch,
-                                 t_min, exact_end=hi)
+        right = _tabulate_branch(k, +1, math.log(hi), b, 0.0,
+                                 points_per_branch, exact_end=hi)
     if lo < 1.0:
-        t_end = -math.log(lo)
-        anchor = 0.5 if lo < 0.5 else math.exp(-0.5 * t_end)
-        if hi < 1.0:
-            anchor = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        left = _tabulate_branch(k, -1, t_end, anchor, points_per_branch,
-                                t_min, exact_end=lo)
-
-    left_scale = 1.0
-    if right is not None and left is not None:
-        # one-sided density limits at the pivot, extrapolated over shrinking
-        # steps, must agree; steps shrink with the branch extents
-        base = min(1e-2, 0.25 * (hi - 1.0), 0.25 * (1.0 - lo))
-        steps = tuple(base * 0.1 ** i for i in range(4))
-        w_right = w_left = math.nan
-        if steps[-1] > 10.0 * t_min:
-
-            def density_near_one(branch: _Branch, xs):
-                vals = []
-                for xv in xs:
-                    F = math.exp(branch.eval_logF_unit(abs(math.log(xv))))
-                    gap = xv - k.section(xv)
-                    vals.append(k.section_slope(xv) * F / (gap * gap))
-                return vals
-
-            w_right = _extrapolate_to_zero(
-                steps, density_near_one(right, [1.0 + h for h in steps]))
-            w_left = _extrapolate_to_zero(
-                steps, density_near_one(left, [1.0 - h for h in steps]))
-        if math.isfinite(w_right) and math.isfinite(w_left) \
-                and w_right > 0.0 and w_left > 0.0:
-            left_scale = w_right / w_left
-        else:
-            left_scale = _solve_scale_by_probe(k, right, left, k.section)
+        left = _tabulate_branch(k, -1, -math.log(lo), a, math.log(left_scale),
+                                points_per_branch, exact_end=lo)
 
     cm = ConstructedMeasure(
         name=f"built:{k.name}",
@@ -424,7 +373,6 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
         right=right,
         left=left,
         left_scale=left_scale,
-        t_min=t_min,
     )
     if not np.all(np.diff(cm.f_tab) > 0.0):
         raise NotIncreasing(
@@ -466,7 +414,7 @@ def reconstruct(spec: MeasureSpec, a: float, b: float) -> float:
         raise InvalidInterval(f"reconstruct needs a < b, got ({a!r}, {b!r})")
     spec.require_domain(normalize([(a, b)]))
     if spec.cdf is None or spec.antiderivative is None:
-        raise ValueError(f"measure {spec.name!r} has no tabulated primitives")
+        raise DomainError(f"measure {spec.name!r} has no tabulated primitives")
     return mean_from_fF(spec.cdf, spec.antiderivative, a, b)
 
 
@@ -516,7 +464,7 @@ def uniqueness_check(spec_a: MeasureSpec, spec_b: MeasureSpec,
     """
     probes = list(probes)
     if not probes:
-        raise ValueError("need at least one probe set")
+        raise EmptySet("need at least one probe set")
     ratios = []
     for P in probes:
         ra = mean(spec_a, P)

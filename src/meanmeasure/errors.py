@@ -33,6 +33,10 @@ class NotStrictlyInternal(MeanMeasureError):
     """A two-argument mean failed the strict internality requirement a < K(a,b) < b."""
 
 
+class NotSymmetric(MeanMeasureError):
+    """A two-argument mean required to be symmetric has K(a,b) != K(b,a)."""
+
+
 class NotIncreasing(MeanMeasureError):
     """A function required to be increasing is not."""
 

@@ -1,15 +1,19 @@
 """Measure synthesis from a two-argument mean, and its inverse checks."""
 
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from meanmeasure import (
     DomainError,
+    EmptySet,
     NotIncreasing,
     NotStrictlyInternal,
+    NotSymmetric,
     OrdinaryMean,
     QuadratureError,
     UnknownMeasure,
@@ -125,6 +129,28 @@ def test_constructed_primitives_structure(built):
     assert not np.any(cm.grid == 1.0)
     # the joining factor for the geometric mean is exactly 1/2
     assert cm.left_scale == pytest.approx(0.5, rel=1e-9)
+
+
+def test_left_scale_is_exact(built):
+    # the joining factor of F = c (x - 1)^2, c / sqrt(x) and c / x against
+    # F(2) = 1 and F(1/2) = left_scale
+    for name, want in [("arithmetic", 0.25), ("geometric", 0.5),
+                       ("harmonic", 1.0)]:
+        assert built[name].construction.left_scale == pytest.approx(
+            want, rel=1e-14), name
+
+
+def test_reconstruct_one_ulp_from_pivot(built):
+    # pairs ending in the hole inside each branch's first node, where
+    # x - K(1, x) rounds to nothing
+    above, below = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    for name in ("arithmetic", "geometric", "harmonic", "logarithmic"):
+        k = ordinary_mean(name)
+        wide = build(k, (0.01, 100.0))
+        for spec, a, b in [(built[name], 0.5, above), (built[name], below, 2.0),
+                           (wide, 0.5, 1.0000000000000009), (wide, below, 2.0)]:
+            assert reconstruct(spec, a, b) == pytest.approx(
+                k(a, b), rel=1e-15), (name, a, b)
 
 
 def test_branch_density_limits_agree(built):
@@ -275,13 +301,15 @@ def test_built_spec_supports_set_means(built):
 
 
 def test_narrow_window_around_pivot():
-    # calibration steps must shrink with the branch extents
+    # the branches join exactly however close to 1 the window ends
     k = ordinary_mean("geometric")
-    for window in [(0.9, 1.005), (0.98, 1.02)]:
+    for window in [(0.9, 1.005), (0.98, 1.02), (0.99999, 4.0),
+                   (0.5, 1.00003), (0.99999, 1.00001)]:
         spec = build(k, window)
         lo, hi = window
-        for a, b in [(lo + 0.1 * (hi - lo), 1.0 - 0.1 * (1.0 - lo)),
-                     (lo + 0.25 * (hi - lo), lo + 0.9 * (hi - lo))]:
+        for a, b in [(lo + 0.1 * (1.0 - lo), 1.0 - 0.1 * (1.0 - lo)),
+                     (lo + 0.25 * (hi - lo), lo + 0.9 * (hi - lo)),
+                     (1.0 - 0.5 * (1.0 - lo), 1.0 + 0.5 * (hi - 1.0))]:
             assert reconstruct(spec, a, b) == pytest.approx(k(a, b), rel=1e-6)
 
 
@@ -303,10 +331,30 @@ def test_power_mean_is_not_measure_generated():
 
 def test_build_rejects_bad_means():
     lopsided = OrdinaryMean("lopsided", lambda a, b: 0.25 * a + 0.75 * b)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotSymmetric):
         build(lopsided, WINDOW)
     edge = OrdinaryMean("edge", lambda a, b: max(a, b))
     with pytest.raises(NotStrictlyInternal):
         build(edge, WINDOW)
     with pytest.raises(DomainError):
         build(ordinary_mean("geometric"), (-1.0, 4.0))
+
+
+def test_lehmer_means_are_rejected_before_tabulating():
+    # (a^p + b^p) / (a^(p-1) + b^(p-1)) falls in a when a << b, so its
+    # joining factor is negative; p = 3 used to overflow tabulating first
+    for p in (2, 3):
+        lehmer = OrdinaryMean(f"lehmer:{p}", lambda a, b, p=p:
+                              (a ** p + b ** p) / (a ** (p - 1) + b ** (p - 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotIncreasing):
+                build(lehmer, WINDOW)
+
+
+def test_missing_primitives_and_probes_are_typed_errors():
+    g = catalog("geometric")
+    with pytest.raises(DomainError):
+        reconstruct(dataclasses.replace(g, cdf=None), 1.0, 2.0)
+    with pytest.raises(EmptySet):
+        uniqueness_check(g, g, [])
