@@ -38,8 +38,8 @@ from .errors import (
     QuadratureError,
     UnknownMeasure,
 )
-from .intervals import IntervalSet, normalize
-from .means import mean
+from .intervals import IntervalSet
+from .means import mean, ordinary
 from .measures import MeasureSpec
 from .quadrature import _WG, _XGK
 
@@ -410,12 +410,9 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
 
 def reconstruct(spec: MeasureSpec, a: float, b: float) -> float:
     """Two-argument mean of ``[a, b]`` from a measure's primitives."""
-    if not (a < b):
-        raise InvalidInterval(f"reconstruct needs a < b, got ({a!r}, {b!r})")
-    spec.require_domain(normalize([(a, b)]))
     if spec.cdf is None or spec.antiderivative is None:
         raise DomainError(f"measure {spec.name!r} has no tabulated primitives")
-    return mean_from_fF(spec.cdf, spec.antiderivative, a, b)
+    return ordinary(spec, a, b)
 
 
 def from_section(g: Callable[[float], float], cm: ConstructedMeasure,

@@ -57,7 +57,7 @@ class IntervalSet:
     def translate(self, x: float) -> "IntervalSet":
         if not math.isfinite(x):
             raise InvalidInterval(f"non-finite translation {x!r}")
-        return IntervalSet(tuple((lo + x, hi + x) for lo, hi in self.intervals))
+        return normalize([(lo + x, hi + x) for lo, hi in self.intervals])
 
     def slice_below(self, y: float) -> "IntervalSet":
         """Intersection with the half-line (-inf, y]."""

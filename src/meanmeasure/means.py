@@ -19,7 +19,12 @@ import numpy as np
 
 from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNested
 from .intervals import IntervalSet, normalize
-from .measures import MeasureSpec, RatioCertificate, density_ratio_increasing
+from .measures import (
+    MeasureSpec,
+    RatioCertificate,
+    _ScaledMeasure,
+    density_ratio_increasing,
+)
 from .quadrature import quad
 
 _EPS = 2.0 ** -50
@@ -59,11 +64,18 @@ class SweepRow:
 
 
 def mean(spec: MeasureSpec, H: IntervalSet) -> MeanReport:
-    """Measure-weighted centroid of ``H``: first moment over mass."""
+    """Measure-weighted centroid of ``H``: first moment over mass.
+
+    A scaled measure reports its base measure's value and error bound, bit
+    for bit, with the mass and moment multiplied by the factor.
+    """
     if H.is_empty:
         raise EmptySet("mean of the empty set is undefined")
-    mass, mass_err = spec.mass_with_error(H)
-    moment, moment_err = spec.moment_with_error(H)
+    if isinstance(spec, _ScaledMeasure):
+        r = mean(spec.base, H)
+        return MeanReport(r.value, spec.factor * r.mass, spec.factor * r.moment,
+                          r.err)
+    mass, mass_err, moment, moment_err = spec.integrate(H)
     if not (mass > 0.0):
         raise DomainError(f"measure {spec.name!r} gave non-positive mass {mass!r}")
     value = moment / mass

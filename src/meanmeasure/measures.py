@@ -3,8 +3,9 @@
 A :class:`MeasureSpec` bundles a strictly positive density ``w`` with an
 optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 ``f(b) - f(a)``) and an optional second primitive ``F`` with ``F' = f``.
-When the primitives are present, set measures and first moments come from
-closed forms; otherwise they fall back to adaptive quadrature of ``w``.
+:meth:`MeasureSpec.integrate` takes a set's mass and first moment in one
+pass: from closed forms when both primitives are present, evaluating each
+once per endpoint, and otherwise from adaptive quadrature of ``w``.
 
 The catalog holds the measures generating the classical two-argument means
 (arithmetic, geometric, harmonic, logarithmic, and the ``x^2`` / ``e^x``
@@ -66,67 +67,53 @@ class MeasureSpec:
 
     def mu(self, H: IntervalSet) -> float:
         """Measure of a finite interval union."""
-        return self.mass_with_error(H)[0]
+        return self.integrate(H)[0]
 
     def first_moment(self, H: IntervalSet) -> float:
         """Integral of the identity over ``H`` against this measure."""
-        return self.moment_with_error(H)[0]
+        return self.integrate(H)[2]
 
-    def mass_with_error(self, H: IntervalSet) -> tuple[float, float]:
+    def integrate(self, H: IntervalSet) -> tuple[float, float, float, float]:
+        """Mass and first moment of ``H``, each with a propagated error bound.
+
+        Returns ``(mass, mass_err, moment, moment_err)``.  With both
+        primitives each endpoint's ``f`` and ``F`` are evaluated once;
+        otherwise both sums come from quadrature of the density.
+        """
         self.require_domain(H)
-        total = 0.0
-        err = 0.0
-        for lo, hi in H:
-            if self.cdf is not None:
-                try:
-                    flo, fhi = self.cdf(lo), self.cdf(hi)
-                except OverflowError:
-                    raise self._overflow("measure") from None
-                total += fhi - flo
-                err += _EPS * (abs(fhi) + abs(flo))
-            else:
-                r = quad(self.density, lo, hi,
-                         DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
-                total += r.value
-                err += r.error_estimate
-        if not math.isfinite(total):
-            raise self._overflow("measure")
-        return total, err
-
-    def _overflow(self, what: str) -> DomainError:
-        return DomainError(
-            f"{what} of {self.name!r} overflows double precision on this set"
-        )
-
-    def moment_with_error(self, H: IntervalSet) -> tuple[float, float]:
-        self.require_domain(H)
-        total = 0.0
-        err = 0.0
-        use_closed = self.cdf is not None and self.antiderivative is not None
-        for lo, hi in H:
-            if use_closed:
-                try:
-                    flo, fhi = self.cdf(lo), self.cdf(hi)
-                    Flo, Fhi = self.antiderivative(lo), self.antiderivative(hi)
-                except OverflowError:
-                    raise self._overflow("first moment") from None
-                total += hi * fhi - lo * flo - (Fhi - Flo)
-                err += _EPS * (abs(hi * fhi) + abs(lo * flo) + abs(Fhi) + abs(Flo))
-            else:
-                r = quad(lambda x: x * self.density(x), lo, hi,
-                         DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
-                total += r.value
-                err += r.error_estimate
-        if not math.isfinite(total):
-            raise self._overflow("first moment")
-        return total, err
+        mass = mass_err = moment = moment_err = 0.0
+        f, F = self.cdf, self.antiderivative
+        try:
+            for lo, hi in H:
+                if f is None or F is None:
+                    r = quad(self.density, lo, hi,
+                             DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
+                    mass += r.value
+                    mass_err += r.error_estimate
+                    r = quad(lambda x: x * self.density(x), lo, hi,
+                             DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
+                    moment += r.value
+                    moment_err += r.error_estimate
+                    continue
+                flo, fhi, Flo, Fhi = f(lo), f(hi), F(lo), F(hi)
+                mass += fhi - flo
+                mass_err += _EPS * (abs(fhi) + abs(flo))
+                moment += hi * fhi - lo * flo - (Fhi - Flo)
+                moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
+                                      + abs(Fhi) + abs(Flo))
+        except OverflowError:
+            mass = math.inf
+        if not (math.isfinite(mass) and math.isfinite(moment)):
+            raise DomainError(f"mass or first moment of {self.name!r} "
+                              "overflows double precision on this set")
+        return mass, mass_err, moment, moment_err
 
     def scaled(self, c: float) -> "MeasureSpec":
         """The same measure multiplied by a positive constant.
 
         The factor multiplies set masses and moments after the primitive
-        differences are taken, so means are preserved to a couple of ulps
-        even where the differences cancel heavily.
+        differences are taken, and ``means.mean`` reports the base measure's
+        value and error bound unchanged.
         """
         if not (c > 0.0 and math.isfinite(c)):
             raise DomainError(f"scale must be a positive finite number, got {c!r}")
@@ -152,13 +139,9 @@ class _ScaledMeasure(MeasureSpec):
     base: Optional[MeasureSpec] = None
     factor: float = 1.0
 
-    def mass_with_error(self, H: IntervalSet) -> tuple[float, float]:
-        mass, err = self.base.mass_with_error(H)
-        return self.factor * mass, self.factor * err
-
-    def moment_with_error(self, H: IntervalSet) -> tuple[float, float]:
-        moment, err = self.base.moment_with_error(H)
-        return self.factor * moment, self.factor * err
+    def integrate(self, H: IntervalSet) -> tuple[float, float, float, float]:
+        c = self.factor
+        return tuple(c * v for v in self.base.integrate(H))
 
 
 def consistency_errors(spec: MeasureSpec, window: tuple[float, float],

@@ -3,7 +3,9 @@
 One panel is a 15-point Kronrod rule with the embedded 7-point Gauss rule;
 the difference of the two estimates is used as a (conservative) per-panel
 error bound.  The panel with the worst bound is bisected until the summed
-bound meets the requested tolerance or the panel budget runs out.
+bound meets the requested tolerance or the panel budget runs out.  The sums
+are kept as running totals, as QUADPACK's QAG does (Piessens et al., 1983),
+and recomputed exactly with ``fsum`` before either exit.
 """
 
 from __future__ import annotations
@@ -86,33 +88,35 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
         raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
     value, err = _panel(fn, a, b)
     evals = 15
-    # heap entries: (-error, tiebreak, lo, hi, value, error)
+    # heap entries: (-error, tiebreak, lo, hi, value, error); the evaluation
+    # count at a push breaks ties between equal errors in push order
     heap = [(-err, 0, a, b, value, err)]
-    tick = 0
-    panels = 1
-    done_val = []  # panels too narrow to bisect further
-    done_err = []
+    done = []  # panels too narrow to bisect further
+    # running totals over all panels, re-summed exactly before either exit
+    total_val, total_err = value, err
     while True:
-        total_err = math.fsum(item[5] for item in heap) + math.fsum(done_err)
-        total_val = math.fsum(item[4] for item in heap) + math.fsum(done_val)
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            return QuadratureResult(total_val, total_err, evals)
-        if panels >= max_panels or not heap:
-            raise QuadratureError(
-                f"panel budget {max_panels} exhausted (err={total_err:.3e})",
-                result=QuadratureResult(total_val, total_err, evals),
-            )
-        _, _, lo, hi, v, e = heapq.heappop(heap)
+        spent = len(heap) + len(done) >= max_panels or not heap
+        if spent or total_err <= max(abs_tol, rel_tol * abs(total_val)):
+            kept = heap + done
+            total_val = math.fsum(p[4] for p in kept)
+            total_err = math.fsum(p[5] for p in kept)
+            if total_err <= max(abs_tol, rel_tol * abs(total_val)):
+                return QuadratureResult(total_val, total_err, evals)
+            if spent:
+                raise QuadratureError(
+                    f"panel budget {max_panels} exhausted (err={total_err:.3e})",
+                    result=QuadratureResult(total_val, total_err, evals),
+                )
+            # the running totals had drifted: go on from the exact sums
+        _, _, lo, hi, v, e = item = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            done_val.append(v)
-            done_err.append(e)
+            done.append(item)
             continue
         v1, e1 = _panel(fn, lo, mid)
         v2, e2 = _panel(fn, mid, hi)
         evals += 30
-        panels += 1
-        tick += 1
-        heapq.heappush(heap, (-e1, tick, lo, mid, v1, e1))
-        tick += 1
-        heapq.heappush(heap, (-e2, tick, mid, hi, v2, e2))
+        total_val += v1 + v2 - v
+        total_err += e1 + e2 - e
+        heapq.heappush(heap, (-e1, evals, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, evals + 1, mid, hi, v2, e2))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UnknownMeasure
 from .intervals import IntervalSet, normalize
 from .means import (
     avg,
@@ -279,6 +280,11 @@ ALL_SUITES = {
 def run_suites(names=None, cases: int = 500, seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (all by default) with per-suite derived seeds."""
     chosen = list(ALL_SUITES) if names is None else list(names)
+    for name in chosen:
+        if name not in ALL_SUITES:
+            raise UnknownMeasure(
+                f"unknown suite {name!r}; choose from {', '.join(ALL_SUITES)}"
+            )
     results = []
     for i, name in enumerate(chosen):
         fn = ALL_SUITES[name]

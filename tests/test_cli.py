@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from meanmeasure import UnknownMeasure
 from meanmeasure.cli import main
+from meanmeasure.verify import run_suites
 
 
 def run(capsys, *argv):
@@ -169,6 +171,29 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suites", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_run_suites_rejects_unknown_suite():
+    with pytest.raises(UnknownMeasure, match="unknown suite 'nonsense'"):
+        run_suites(["internality", "nonsense"], cases=1)
+
+
+def test_verify_rejects_non_positive_cases(capsys):
+    for cases in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--cases", cases,
+                             "--suites", "internality")
+        assert code == 2 and out == "" and "--cases" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("construct", "--mean", "geometric"),
+    ("compare", "--mu", "geometric", "--nu", "lebesgue"),
+])
+@pytest.mark.parametrize("window", ["a,b", "1,x", "0.25,sixty-four"])
+def test_window_typos_are_usage_errors(capsys, command, window):
+    code, out, err = run(capsys, *command, "--window", window)
+    assert code == 2 and out == ""
+    assert err.startswith("error: window")
 
 
 def test_sweep_determinism(capsys):

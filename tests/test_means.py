@@ -1,5 +1,6 @@
 """Measure-weighted means: values, probes, certificates, asymptotics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,24 @@ def test_mean_rejects_empty_and_out_of_domain():
         mean(catalog("lebesgue"), IntervalSet())
     with pytest.raises(DomainError):
         mean(catalog("geometric"), normalize([(-2, -1)]))
+
+
+def test_mean_evaluates_each_primitive_once_per_endpoint():
+    g = catalog("geometric")
+    calls = {"cdf": 0, "antiderivative": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    spec = dataclasses.replace(
+        g, cdf=counted("cdf", g.cdf),
+        antiderivative=counted("antiderivative", g.antiderivative))
+    H = normalize([(2.0, 3.0), (4.0, 5.0), (6.0, 7.0)])
+    assert mean(spec, H) == mean(g, H)
+    assert calls == {"cdf": 6, "antiderivative": 6}
 
 
 def test_ordinary_examples():

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod integration."""
 
 import math
+import time
 
 import pytest
 
@@ -51,3 +52,12 @@ def test_tolerance_honored_on_smooth_integrand():
     want = math.e ** 2 - 1.0
     r = quad(math.exp, 0.0, 2.0, abs_tol=1e-12, rel_tol=1e-12)
     assert abs(r.value - want) <= max(1e-12, 1e-11 * want)
+
+
+def test_default_budget_exhaustion_is_quick():
+    # 10,000 panels: the first one plus 9,999 bisections of two panels each
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError) as exc_info:
+        quad(lambda x: math.sin(1.0 / x), 1e-6, 1.0, abs_tol=1e-15, rel_tol=1e-15)
+    assert time.perf_counter() - start < 2.0
+    assert exc_info.value.result.evaluations == 299_985
