@@ -12,7 +12,6 @@ from .construct import (
     UniquenessResult,
     build,
     from_section,
-    mean_from_fF,
     ordinary_mean,
     reconstruct,
     uniqueness_check,
@@ -106,7 +105,6 @@ __all__ = [
     "infinity_sweep",
     "m_bound",
     "mean",
-    "mean_from_fF",
     "monotonicity_probe",
     "normalize",
     "ordinary",

@@ -3,17 +3,17 @@
 Given a symmetric, strictly internal, continuously differentiable mean
 ``K(a, b)``, there is a measure whose weighted centroid of ``[a, b]``
 reproduces ``K``.  Writing ``g(x) = K(1, x)``, its second primitive
-satisfies ``(log F)'(x) = 1 / (x - g(x))``, so ``log F`` is tabulated by
-cumulative integration, ``f = F / (x - g(x))`` is the increasing primitive,
-and the density is ``w = g'(x) F / (x - g(x))^2``.
+satisfies ``(log F)'(x) = 1 / (x - g(x))``, ``f = F / (x - g(x))`` is the
+increasing primitive, and the density is ``w = g'(x) F / (x - g(x))^2``.
 
-The integrand blows up like ``2 / (x - 1)`` at the pivot, so each branch
-(left and right of 1) is tabulated on a grid half geometric and half uniform
-in ``|log x|``, and ``log F`` is interpolated in log-log space, where its
-singular part is linear, by cubic Hermite pieces with the ODE's exact
-slopes; inside the first node that line is continued.  ``F = 1`` at an
-anchor ``b > 1`` and ``F = s`` at an anchor ``a < 1``.  As ``F(1) = f(1) = 0``,
-the first moment ``int_a^b (x - K(a, b)) dmu`` vanishes exactly when
+Each branch (left and right of the pivot 1) is tabulated in ``t = |log x|``,
+where the slope of ``log F`` in ``log t`` is smooth and equals 2 at the pivot.
+That slope is interpolated at Chebyshev points, doubling the degree until
+the coefficients level off, and ``log F = 2 log t + int (slope - 2)/t`` is
+integrated exactly in coefficient space, then evaluated once on a dense
+table.  ``F = 1`` at an anchor ``b > 1`` and ``F = s`` at an anchor
+``a < 1``.  As ``F(1) = f(1) = 0``, the first moment
+``int_a^b (x - K(a, b)) dmu`` vanishes exactly when
 ``(b - K) f(b) - F(b) = (a - K) f(a) - F(a)``: linear in ``s``, so the
 joining factor comes from the gaps at the anchors alone.  Measures are only
 determined up to a positive factor, so the normalization is harmless.
@@ -41,15 +41,14 @@ from .errors import (
 from .intervals import IntervalSet
 from .means import mean, ordinary
 from .measures import MeasureSpec
-from .quadrature import _WG, _XGK
 
-# each branch's grid starts this far from the pivot in |log x|
+# each branch's table starts this far from the pivot in |log x|
 _T_MIN = 1e-9
-
-# the 7-point Gauss rule embedded in quadrature's Kronrod table, used
-# segment-wise on a grid that is already clustered toward the singular point
-_GAUSS_X = np.array([-_XGK[1], -_XGK[3], -_XGK[5], 0.0, _XGK[5], _XGK[3], _XGK[1]])
-_GAUSS_W = np.array([*_WG, *_WG[2::-1]])
+# below this |log x| the gap x - K(1, x) loses digits to cancellation, so it
+# is integrated from the section's slope when the mean supplies one
+_T_CANCEL = 0.5
+# Chebyshev degrees per branch: the first tried, and the last before giving up
+_DEG_MIN, _DEG_MAX = 32, 512
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,19 @@ class OrdinaryMean:
         return (self.func(1.0, x + h) - self.func(1.0, x - h)) / (2.0 * h)
 
 
+# (e^-L - 1 + L) / L^2 = sum over n >= 2 of (-L)^(n - 2) / n!, highest first
+_LOG_SLOPE_SERIES = tuple(1.0 / math.factorial(n) for n in range(17, 1, -1))
+
+
 def _log_mean_section_slope(x: float) -> float:
-    u = x - 1.0
-    if abs(u) < 1e-5:
-        return 0.5 - u / 6.0 + u * u / 8.0
-    lg = math.log1p(u)
-    return (lg - u / (1.0 + u)) / (lg * lg)
+    # d/dx (x - 1)/log x, written in L = log x so that nothing cancels
+    L = math.log(x)
+    if abs(L) < 0.5:
+        s = 0.0
+        for c in _LOG_SLOPE_SERIES:
+            s = s * -L + c
+        return s
+    return (math.expm1(-L) + L) / (L * L)
 
 
 def _power_mean(p: float) -> OrdinaryMean:
@@ -132,25 +138,49 @@ def ordinary_mean(name: str) -> OrdinaryMean:
 
 
 class _Branch:
-    """One tabulated side of the pivot: grid, log F values, gaps, interpolant.
+    """One tabulated side of the pivot, from the Chebyshev series ``c`` of
+    :func:`_slope_series`.
 
-    ``log F`` is a piecewise cubic Hermite in ``v = log t``, ``t = |log x|``,
-    matching the ODE's exact slope ``side * t * x / gap`` at every node
-    (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980).
+    The series is evaluated once on ``n`` nodes, half geometric in
+    ``t = |log x|``, clustered against the pivot, and half uniform, so the
+    far end is resolved too.  Between nodes ``log F`` is a cubic Hermite in
+    ``v = log t`` with the slopes ``h`` (Fritsch & Carlson, SIAM J. Numer.
+    Anal. 17(2), 1980).  The anchor gets log F = ``log_anchor`` exactly.
     """
 
-    def __init__(self, side: int, x: np.ndarray, logF: np.ndarray,
-                 gap: np.ndarray, anchor_x: float):
-        self.side = side  # +1 for x > 1, -1 for x < 1
-        self.x = x
-        self.logF = logF
-        self.gap = gap
+    def __init__(self, c: np.ndarray, series: dict, exact_end: float,
+                 anchor_x: float, log_anchor: float, n: int):
+        from numpy.polynomial import chebyshev as cheb
+
+        self.side = side = 1 if exact_end > 1.0 else -1  # side of the pivot
         self.anchor_x = anchor_x
+        self.series = series
+        t_end = abs(math.log(exact_end))
+        t = np.concatenate([np.geomspace(_T_MIN, t_end, n // 2),
+                            np.linspace(_T_MIN, t_end, n - n // 2)])
+        t_anchor = abs(math.log(anchor_x))
+        # keep the anchor as an exact node without near-duplicate neighbors
+        t = t[np.abs(t - t_anchor) > 1e-9 * t_anchor]
+        t = np.unique(np.concatenate([t, [t_anchor]]))
+        x = np.exp(side * t)
+        x[-1] = exact_end  # force the window endpoint exactly
+        self.x = x = np.sort(x)
+        i = int(np.argmin(np.abs(x - anchor_x)))
+        x[i] = anchor_x
         t = np.abs(np.log(x))
+        # with t = t_end (1 + u)/2, (h - 2)/t dt = (h - 2)/(1 + u) du
+        R = cheb.chebint(cheb.chebdiv(cheb.chebsub(c, 2.0), [1.0, 1.0])[0])
+        u = np.clip(2.0 * t / t_end - 1.0, -1.0, 1.0)
+        h, R = cheb.chebval(u, c), cheb.chebval(u, R)
+        dh = cheb.chebval(u, cheb.chebder(c)) * (2.0 / t_end)
+        self.logF = 2.0 * (np.log(t) - math.log(t[i])) + (R - R[i]) + log_anchor
+        self.gap = side * t * x / h
+        # g' = 1 - gap', with gap = side t x / h
+        self.slope = 1.0 - (1.0 + side * t) / h + t * dh / (h * h)
         order = np.argsort(t)
         self._v = np.log(t[order]).tolist()
-        self._y = logF[order].tolist()
-        self._dy = (side * t * x / gap)[order].tolist()
+        self._y = self.logF[order].tolist()
+        self._dy = h[order].tolist()
         self.t_first, self.dy_first = float(t[order[0]]), self._dy[0]
         self.v_min = self._v[0]
         self.v_max = self._v[-1]
@@ -200,8 +230,10 @@ class ConstructedMeasure:
         gap = np.concatenate([b.gap for b in branches])
         F = np.exp(self.logF)
         self.f_tab = F / gap
-        self.w_tab = np.array([section_slope(x) for x in self.grid.tolist()]) \
-            * F / (gap * gap)
+        self.w_tab = np.concatenate([b.slope for b in branches]) * F / (gap * gap)
+        # each branch's Chebyshev degree and its coefficients past the plateau
+        self.series = {name: b.series for name, b in (("left", left),
+                       ("right", right)) if b is not None}
         self.round_trip_max_rel_err = math.nan  # set by build()'s self-check
 
     # -- pointwise evaluation ------------------------------------------------
@@ -274,44 +306,63 @@ def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:
                 )
 
 
-def _tabulate_branch(k: OrdinaryMean, side: int, t_end: float,
-                     anchor_x: float, log_anchor: float, n: int,
-                     exact_end: float) -> _Branch:
-    """Cumulative integral of 1/(x - K(1,x)) along one branch.
-
-    ``side`` +1 tabulates (1, e^t_end], -1 tabulates [e^-t_end, 1);
-    the anchor gets log F = ``log_anchor``.
+def _plateau(c: np.ndarray) -> Optional[int]:
+    """Where the Chebyshev coefficients ``c`` level off at their noise floor,
+    or None while they still fall: the plateau test of ``standardChop``
+    (Aurentz & Trefethen, ACM TOMS 43(4), 2017) at tolerance 2^-52.
     """
-    # half the nodes geometric in t, clustered against the pivot, and half
-    # uniform in t, so the far end of the window is resolved too
-    t = np.concatenate([np.geomspace(_T_MIN, t_end, n // 2),
-                        np.linspace(_T_MIN, t_end, n - n // 2)])
-    t_anchor = abs(math.log(anchor_x))
-    # keep the anchor as an exact node without near-duplicate neighbors
-    t = t[np.abs(t - t_anchor) > 1e-9 * t_anchor]
-    t = np.unique(np.concatenate([t, [t_anchor]]))
-    x = np.exp(side * t)
-    x[-1] = exact_end  # force the window endpoint exactly
-    x = np.sort(x)
-    anchor_idx = int(np.argmin(np.abs(x - anchor_x)))
-    x[anchor_idx] = anchor_x
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1] / np.max(np.abs(c))
+    for j in range(1, len(c)):
+        j2 = int(1.25 * j + 5.75)  # the paper's round(1.25 j + 5), from 1
+        if j2 >= len(c):
+            return None
+        if env[j] == 0.0 or env[j2] / env[j] > 3.0 * (1.0 - math.log2(env[j]) / -52):
+            return j
+    return None
 
-    # the gap x - K(1, x) at every node and at each segment's Gauss points
-    c = 0.5 * (x[1:] + x[:-1])
-    r = 0.5 * (x[1:] - x[:-1])
-    pts = np.concatenate([x, (c[:, None] + r[:, None] * _GAUSS_X).ravel()])
-    gaps = pts - np.array([k.section(p) for p in pts.tolist()])
-    bad = np.flatnonzero(side * gaps <= 0.0)
-    if len(bad):
-        p = float(pts[bad[0]])
-        raise NotStrictlyInternal(
-            f"K(1, {p!r}) leaves the open interval between 1 and {p!r}"
-        )
-    gap = gaps[:len(x)]
-    seg = r * ((1.0 / gaps[len(x):]).reshape(-1, len(_GAUSS_X)) @ _GAUSS_W)
-    logF = np.concatenate([[0.0], np.cumsum(seg)])
-    logF += log_anchor - logF[anchor_idx]
-    return _Branch(side, x, logF, gap, anchor_x)
+
+def _slope_series(k: OrdinaryMean, exact_end: float) -> tuple[np.ndarray, dict]:
+    """Chebyshev series, in ``u = 2 t / t_end - 1``, of the slope of log F in
+    log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side t)``; and its
+    degree and the size of its coefficients past their plateau.
+
+    The degree doubles until the coefficients level off; a section that is
+    not smooth never gets there and raises :class:`QuadratureError`.
+    """
+    from numpy.polynomial import chebyshev as cheb, legendre
+
+    side = 1 if exact_end > 1.0 else -1
+    t_end = abs(math.log(exact_end))
+    gl_x, gl_w = legendre.leggauss(12)
+    deg = _DEG_MIN
+    while True:
+        x = np.exp(side * t_end * 0.5 * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg)))
+        x[-1] = exact_end
+        t = np.abs(np.log(x))  # from the rounded x, so t and x - 1 agree
+        near = t < (_T_CANCEL if k.section_deriv is not None else 0.0)
+        gap = x - np.array([0.0 if n else k.section(p)
+                            for p, n in zip(x.tolist(), near.tolist())])
+        if near.any():
+            # x - K(1, x) cancels here: integrate 1 - g' from 1 to x instead
+            r = 0.5 * (x[near] - 1.0)
+            s = 1.0 + r[:, None] * (1.0 + gl_x)
+            slope = np.array([k.section_deriv(p) for p in s.ravel().tolist()])
+            gap[near] = r * ((1.0 - slope.reshape(s.shape)) @ gl_w)
+        bad = x[1:][side * gap[1:] <= 0.0].tolist()
+        if bad:
+            raise NotStrictlyInternal(f"K(1, {bad[0]!r}) leaves the open "
+                                      f"interval between 1 and {bad[0]!r}")
+        # h = 2 at the pivot, where g' = 1/2 for any symmetric mean
+        h = np.concatenate([[2.0], side * t[1:] * x[1:] / gap[1:]])
+        c = np.linalg.solve(cheb.chebvander(2.0 * t / t_end - 1.0, deg), h)
+        j = _plateau(c)
+        if j is not None:
+            return c, {"degree": deg, "tail": float(np.max(np.abs(c[j:])))}
+        if deg >= _DEG_MAX:
+            raise QuadratureError(
+                f"the slope of log F for {k.name!r} has no Chebyshev series of "
+                f"degree {deg} on [1, {exact_end!r}]: K(1, x) is not smooth there")
+        deg *= 2
 
 
 def _left_scale(k: OrdinaryMean, a: float, b: float) -> float:
@@ -359,11 +410,10 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
     left_scale = _left_scale(k, a, b) if lo < 1.0 < hi else 1.0
     right = left = None
     if hi > 1.0:
-        right = _tabulate_branch(k, +1, math.log(hi), b, 0.0,
-                                 points_per_branch, exact_end=hi)
+        right = _Branch(*_slope_series(k, hi), hi, b, 0.0, points_per_branch)
     if lo < 1.0:
-        left = _tabulate_branch(k, -1, -math.log(lo), a, math.log(left_scale),
-                                points_per_branch, exact_end=lo)
+        left = _Branch(*_slope_series(k, lo), lo, a, math.log(left_scale),
+                       points_per_branch)
 
     cm = ConstructedMeasure(
         name=f"built:{k.name}",
@@ -428,21 +478,6 @@ def from_section(g: Callable[[float], float], cm: ConstructedMeasure,
         raise DomainError(f"({a!r}, {b!r}) outside the tabulated window {cm.window!r}")
     fa, fb = cm.f(a), cm.f(b)
     return (fb * g(b) - fa * g(a)) / (fb - fa)
-
-
-def mean_from_fF(f: Callable[[float], float], F: Callable[[float], float],
-                 a: float, b: float) -> float:
-    """The mean ``(b f(b) - a f(a) - (F(b) - F(a))) / (f(b) - f(a))``.
-
-    For increasing ``f`` with primitive pair ``F`` this lands strictly
-    inside ``(a, b)``.
-    """
-    if not (a < b):
-        raise InvalidInterval(f"mean_from_fF needs a < b, got ({a!r}, {b!r})")
-    fa, fb = f(a), f(b)
-    if not (fb > fa):
-        raise NotIncreasing(f"f({b!r}) = {fb!r} is not above f({a!r}) = {fa!r}")
-    return (b * fb - a * fa - (F(b) - F(a))) / (fb - fa)
 
 
 @dataclass(frozen=True)

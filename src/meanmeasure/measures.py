@@ -6,6 +6,7 @@ optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 :meth:`MeasureSpec.integrate` takes a set's mass and first moment in one
 pass: from closed forms when both primitives are present, evaluating each
 once per endpoint, and otherwise from adaptive quadrature of ``w``.
+:meth:`MeasureSpec.mu` takes the same pass without the moment.
 
 The catalog holds the measures generating the classical two-argument means
 (arithmetic, geometric, harmonic, logarithmic, and the ``x^2`` / ``e^x``
@@ -67,7 +68,7 @@ class MeasureSpec:
 
     def mu(self, H: IntervalSet) -> float:
         """Measure of a finite interval union."""
-        return self.integrate(H)[0]
+        return self._integrate(H, False)[0]
 
     def first_moment(self, H: IntervalSet) -> float:
         """Integral of the identity over ``H`` against this measure."""
@@ -80,6 +81,11 @@ class MeasureSpec:
         primitives each endpoint's ``f`` and ``F`` are evaluated once;
         otherwise both sums come from quadrature of the density.
         """
+        return self._integrate(H, True)
+
+    def _integrate(self, H: IntervalSet,
+                   with_moment: bool) -> tuple[float, float, float, float]:
+        # the moment and its error stay 0 unless asked for
         self.require_domain(H)
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
@@ -90,17 +96,21 @@ class MeasureSpec:
                              DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
                     mass += r.value
                     mass_err += r.error_estimate
-                    r = quad(lambda x: x * self.density(x), lo, hi,
-                             DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
-                    moment += r.value
-                    moment_err += r.error_estimate
+                    if with_moment:
+                        r = quad(lambda x: x * self.density(x), lo, hi,
+                                 DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
+                                 DEFAULT_MAX_PANELS)
+                        moment += r.value
+                        moment_err += r.error_estimate
                     continue
-                flo, fhi, Flo, Fhi = f(lo), f(hi), F(lo), F(hi)
+                flo, fhi = f(lo), f(hi)
                 mass += fhi - flo
                 mass_err += _EPS * (abs(fhi) + abs(flo))
-                moment += hi * fhi - lo * flo - (Fhi - Flo)
-                moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
-                                      + abs(Fhi) + abs(Flo))
+                if with_moment:
+                    Flo, Fhi = F(lo), F(hi)
+                    moment += hi * fhi - lo * flo - (Fhi - Flo)
+                    moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
+                                          + abs(Fhi) + abs(Flo))
         except OverflowError:
             mass = math.inf
         if not (math.isfinite(mass) and math.isfinite(moment)):
@@ -139,9 +149,10 @@ class _ScaledMeasure(MeasureSpec):
     base: Optional[MeasureSpec] = None
     factor: float = 1.0
 
-    def integrate(self, H: IntervalSet) -> tuple[float, float, float, float]:
+    def _integrate(self, H: IntervalSet,
+                   with_moment: bool) -> tuple[float, float, float, float]:
         c = self.factor
-        return tuple(c * v for v in self.base.integrate(H))
+        return tuple(c * v for v in self.base._integrate(H, with_moment))
 
 
 def consistency_errors(spec: MeasureSpec, window: tuple[float, float],

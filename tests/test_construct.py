@@ -11,6 +11,7 @@ import pytest
 from meanmeasure import (
     DomainError,
     EmptySet,
+    MeasureSpec,
     NotIncreasing,
     NotStrictlyInternal,
     NotSymmetric,
@@ -23,9 +24,7 @@ from meanmeasure import (
     double_integral_mean,
     from_section,
     mean,
-    mean_from_fF,
     normalize,
-    ordinary,
     ordinary_mean,
     random_interval_union,
     reconstruct,
@@ -74,7 +73,82 @@ def test_round_trip_against_named_means(built):
 
 def test_self_check_error_is_recorded(built):
     for spec in built.values():
-        assert 0.0 <= spec.construction.round_trip_max_rel_err <= 1e-6
+        cm = spec.construction
+        assert 0.0 <= cm.round_trip_max_rel_err <= 1e-6
+        assert set(cm.series) == {"left", "right"}
+        for series in cm.series.values():
+            assert series["degree"] == 32 and 0.0 < series["tail"] < 1e-14
+
+
+# build()'s round_trip_max_rel_err for arithmetic, geometric, harmonic and
+# logarithmic when log F was summed by Gauss rules on an 8192-node grid,
+# rounded up in the third digit; windows left out stayed below 1e-14
+GRID_ROUND_TRIP = {
+    (0.25, 64.0): (1.05e-13, 3.70e-12, 3.28e-10, 7.39e-13),
+    (0.01, 100.0): (1.30e-13, 1.76e-12, 1.02e-9, 5.27e-13),
+    (0.001, 1000.0): (1.05e-13, 1.40e-11, 7.56e-8, 1.03e-12),
+    (0.9, 1.005): (0.0,) * 4,
+    (0.98, 1.02): (0.0,) * 4,
+    (0.99999, 4.0): (9.10e-14, 4.71e-13, 2.07e-12, 2.24e-13),
+    (0.5, 1.00003): (0.0,) * 4,
+    (0.99999, 1.00001): (0.0,) * 4,
+}
+
+
+def test_round_trip_no_worse_than_grid():
+    for window, before in GRID_ROUND_TRIP.items():
+        for name, bound in zip(
+                ("arithmetic", "geometric", "harmonic", "logarithmic"), before):
+            err = build(ordinary_mean(name), window).construction \
+                .round_trip_max_rel_err
+            assert err <= max(bound, 1e-14), (window, name, err)
+
+
+def test_wide_window_builds():
+    # degree 64 here, and the series' last coefficient rounds to exactly 0,
+    # which numpy's series arithmetic trims away
+    spec = build(ordinary_mean("geometric"), (1e-6, 1e6))
+    assert spec.construction.series["left"]["degree"] == 64
+    assert spec.construction.round_trip_max_rel_err <= 1e-9
+
+
+def test_build_calls_mean_a_few_hundred_times():
+    k = ordinary_mean("harmonic")
+    calls = {"K": 0, "slope": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    build(dataclasses.replace(k, func=counted("K", k.func),
+                              section_deriv=counted("slope", k.section_deriv)),
+          WINDOW)
+    assert calls["K"] <= 400 and calls["slope"] <= 400, calls
+
+
+def test_kinked_section_is_rejected():
+    # K(1, x) has a kink at x = 3 + 2 sqrt(2), so the Chebyshev series of
+    # log F's slope never levels off
+    kinked = OrdinaryMean("kinked", lambda a, b:
+                          max(math.sqrt(a * b), 0.5 * (a + b) - 1.0))
+    with pytest.raises(QuadratureError, match="no Chebyshev series"):
+        build(kinked, WINDOW)
+
+
+def test_log_mean_section_slope_near_pivot():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    slope = ordinary_mean("logarithmic").section_deriv
+    rng = np.random.default_rng(43)
+    xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000)).tolist()
+    d = np.geomspace(1e-12, 0.5, 100).tolist()
+    xs += [1.0 + e for e in d] + [1.0 - e for e in d]
+    for x in xs:
+        L = mpmath.log(x)
+        want = (L - (x - 1) / mpmath.mpf(x)) / L ** 2
+        assert abs(slope(x) - want) <= 1e-15 * want, x
 
 
 def test_narrow_pairs_at_window_top():
@@ -239,35 +313,22 @@ def test_from_section_agrees_with_reconstruct(built):
             pytest.approx(reconstruct(spec, a, b), rel=1e-6)
 
 
-def test_mean_from_fF_examples():
-    assert mean_from_fF(lambda x: x, lambda x: 0.5 * x * x, 0.0, 2.0) == \
-        pytest.approx(1.0, rel=1e-15)
-    # oracle: matches the logarithmic catalog mean of [1, e]
-    got = mean_from_fF(math.log, lambda x: x * math.log(x) - x + 1.0, 1.0, E)
-    assert got == pytest.approx(ordinary(catalog("logarithmic"), 1.0, E),
-                                rel=1e-12)
-    assert got == pytest.approx(E - 1.0, rel=1e-12)
-    # oracle: constants cancel, sqrt(1 * 4) = 2
-    got = mean_from_fF(lambda x: 1.0 - 1.0 / math.sqrt(x),
-                       lambda x: (math.sqrt(x) - 1.0) ** 2, 1.0, 4.0)
-    assert got == pytest.approx(2.0, rel=1e-12)
-
-
-def test_mean_from_fF_is_strictly_internal():
+def test_reconstruct_is_strictly_internal():
+    spec = catalog("logarithmic")
     rng = np.random.default_rng(31)
-    f = lambda x: math.log(x)
-    F = lambda x: x * math.log(x) - x + 1.0
     for _ in range(200):
         a, b = np.sort(rng.uniform(0.2, 50.0, size=2))
         if b - a < 1e-6:
             continue
-        v = mean_from_fF(f, F, float(a), float(b))
+        v = reconstruct(spec, float(a), float(b))
         assert a < v < b
 
 
-def test_mean_from_fF_rejects_non_increasing():
-    with pytest.raises(NotIncreasing):
-        mean_from_fF(lambda x: -x, lambda x: -0.5 * x * x, 0.0, 1.0)
+def test_reconstruct_rejects_decreasing_primitive():
+    spec = MeasureSpec("falling", (-math.inf, math.inf), lambda x: -1.0,
+                       cdf=lambda x: -x, antiderivative=lambda x: -0.5 * x * x)
+    with pytest.raises(DomainError):
+        reconstruct(spec, 0.0, 1.0)
 
 
 def test_uniqueness_scaled_measure():

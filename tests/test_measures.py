@@ -1,5 +1,6 @@
 """Measure catalog: closed forms, quadrature fallback, ratio certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from meanmeasure import (
     normalize,
     quad,
 )
+from meanmeasure import measures
 
 E2 = math.e ** 2
 
@@ -75,6 +77,29 @@ def test_mu_examples():
     assert catalog("lebesgue").mu(normalize([(0, 1), (2, 4)])) == 3.0
     assert catalog("harmonic").mu(normalize([(1, 2)])) == pytest.approx(
         0.75, rel=1e-13)
+
+
+def test_mu_takes_no_moment(monkeypatch):
+    g = catalog("geometric")
+    H = normalize([(1.0, 2.0), (3.0, 5.0), (6.0, 7.0)])
+    calls = {"cdf": 0, "antiderivative": 0, "quad": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    spec = dataclasses.replace(
+        g, cdf=counted("cdf", g.cdf),
+        antiderivative=counted("antiderivative", g.antiderivative))
+    assert spec.mu(H) == g.integrate(H)[0]
+    assert calls == {"cdf": 6, "antiderivative": 0, "quad": 0}
+    monkeypatch.setattr(measures, "quad", counted("quad", quad))
+    density_only = dataclasses.replace(g, cdf=None, antiderivative=None)
+    mass = density_only.mu(H)
+    assert calls["quad"] == 3  # one per interval
+    assert mass == density_only.integrate(H)[0]
 
 
 def test_first_moment_examples():
