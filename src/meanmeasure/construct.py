@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -234,7 +235,9 @@ class ConstructedMeasure:
         # each branch's Chebyshev degree and its coefficients past the plateau
         self.series = {name: b.series for name, b in (("left", left),
                        ("right", right)) if b is not None}
-        self.round_trip_max_rel_err = math.nan  # set by build()'s self-check
+        self.round_trip_max_rel_err = math.nan  # these three are set by build()
+        self.round_trip_worst_pair = None
+        self.build_seconds = {}
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -246,11 +249,12 @@ class ConstructedMeasure:
         return branch
 
     def _gap(self, x: float) -> float:
-        branch, t = self._branch(x), abs(math.log(x))
-        if t < branch.t_first:
-            # x - K(1, x) loses its digits to rounding here: take it from
-            # the slope log F keeps inside the first node
-            return branch.side * t * x / branch.dy_first
+        if abs(x - 1.0) < 2.0 * _T_MIN:  # covers |log x| < t_first ~ _T_MIN
+            branch, t = self._branch(x), abs(math.log(x))
+            if t < branch.t_first:
+                # x - K(1, x) loses its digits to rounding here: take it
+                # from the slope log F keeps inside the first node
+                return branch.side * t * x / branch.dy_first
         return x - self.section(x)
 
     def log_F(self, x: float) -> float:
@@ -263,21 +267,27 @@ class ConstructedMeasure:
             return 0.0
         return math.exp(self.log_F(x))
 
-    def f(self, x: float) -> float:
+    def _f_F(self, x: float) -> tuple[float, float]:
+        """``(f(x), F(x))`` from one ``log F`` and one gap."""
         if x == 1.0:
-            return 0.0
-        return self.F(x) / self._gap(x)
+            return 0.0, 0.0
+        F = math.exp(self.log_F(x))
+        return F / self._gap(x), F
+
+    def f(self, x: float) -> float:
+        return self._f_F(x)[0]
 
     def w(self, x: float) -> float:
         if x == 1.0:
             # density limit at the pivot: evaluate just off it
             x = math.exp(_T_MIN) if self._right is not None \
                 else math.exp(-_T_MIN)
+        F = self.F(x)
         gap = self._gap(x)
-        return self.section_slope(x) * self.F(x) / (gap * gap)
+        return self.section_slope(x) * F / (gap * gap)
 
     def to_spec(self) -> MeasureSpec:
-        return MeasureSpec(
+        return _BuiltMeasure(
             name=self.name,
             domain=self.window,
             density=self.w,
@@ -286,6 +296,16 @@ class ConstructedMeasure:
             density_shape="none",
             construction=self,
         )
+
+
+class _BuiltMeasure(MeasureSpec):
+    """A synthesized measure whose set integrals take ``f`` and ``F`` together."""
+
+    def _f_and_F(self) -> Optional[Callable[[float], tuple[float, float]]]:
+        cm = self.construction
+        if cm is not None and self.cdf == cm.f and self.antiderivative == cm.F:
+            return cm._f_F
+        return None
 
 
 def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:
@@ -391,10 +411,12 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
     Returns a :class:`MeasureSpec` whose primitives interpolate the
     tabulation; the underlying :class:`ConstructedMeasure` rides along in
     its ``construction`` field, with the worst relative error of the
-    self-check against ``k`` on probe pairs in ``round_trip_max_rel_err``.
-    Raises :class:`QuadratureError` when that check misses
+    self-check against ``k`` on probe pairs in ``round_trip_max_rel_err``
+    (the pair in ``round_trip_worst_pair``) and the seconds of each phase in
+    ``build_seconds``.  Raises :class:`QuadratureError` when that check misses
     ``max(tol, 1e-6 |k|)``.
     """
+    start = time.perf_counter()
     lo, hi = window
     if not (0.0 < lo < hi):
         raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
@@ -415,6 +437,7 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
         left = _Branch(*_slope_series(k, lo), lo, a, math.log(left_scale),
                        points_per_branch)
 
+    tabulated = time.perf_counter()
     cm = ConstructedMeasure(
         name=f"built:{k.name}",
         window=window,
@@ -433,6 +456,7 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
             f"constructed density for {k.name!r} is not strictly positive"
         )
     spec = cm.to_spec()
+    tables = time.perf_counter()
 
     # self-check: the tabulation must reproduce k on probe pairs; adjacent
     # pairs near the window top are the harshest (f may saturate there)
@@ -446,7 +470,9 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
     for a, b in pairs:
         got = reconstruct(spec, a, b)
         want = k(a, b)
-        worst = max(worst, abs(got - want) / abs(want))
+        err = abs(got - want) / abs(want)
+        if cm.round_trip_worst_pair is None or err > worst:
+            worst, cm.round_trip_worst_pair = err, (a, b)
         if abs(got - want) > max(tol, 1e-6 * abs(want)):
             raise QuadratureError(
                 f"tabulation reproduces K({a:g},{b:g}) as {got!r}, want "
@@ -455,6 +481,8 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
                 f"mean against 1)"
             )
     cm.round_trip_max_rel_err = worst
+    cm.build_seconds = {"tabulate_join": tabulated - start, "tables": tables - tabulated,
+                        "self_check": time.perf_counter() - tables}
     return spec
 
 

@@ -89,6 +89,7 @@ class MeasureSpec:
         self.require_domain(H)
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
+        fF = self._f_and_F()
         try:
             for lo, hi in H:
                 if f is None or F is None:
@@ -97,17 +98,23 @@ class MeasureSpec:
                     mass += r.value
                     mass_err += r.error_estimate
                     if with_moment:
-                        r = quad(lambda x: x * self.density(x), lo, hi,
+                        m = quad(lambda x: x * self.density(x), lo, hi,
                                  DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
                                  DEFAULT_MAX_PANELS)
-                        moment += r.value
-                        moment_err += r.error_estimate
+                        moment += m.value
+                        # plus the rounding quad misses where x w(x) cancels
+                        moment_err += (m.error_estimate
+                                       + _EPS * max(abs(lo), abs(hi)) * r.value)
                     continue
-                flo, fhi = f(lo), f(hi)
+                if fF is not None:
+                    (flo, Flo), (fhi, Fhi) = fF(lo), fF(hi)
+                else:
+                    flo, fhi = f(lo), f(hi)
+                    if with_moment:
+                        Flo, Fhi = F(lo), F(hi)
                 mass += fhi - flo
                 mass_err += _EPS * (abs(fhi) + abs(flo))
                 if with_moment:
-                    Flo, Fhi = F(lo), F(hi)
                     moment += hi * fhi - lo * flo - (Fhi - Flo)
                     moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
                                           + abs(Fhi) + abs(Flo))
@@ -117,6 +124,10 @@ class MeasureSpec:
             raise DomainError(f"mass or first moment of {self.name!r} "
                               "overflows double precision on this set")
         return mass, mass_err, moment, moment_err
+
+    def _f_and_F(self) -> Optional[Callable[[float], tuple[float, float]]]:
+        """``x -> (f(x), F(x))`` where one evaluation gives both, else None."""
+        return None
 
     def scaled(self, c: float) -> "MeasureSpec":
         """The same measure multiplied by a positive constant.

@@ -26,10 +26,12 @@ from meanmeasure import (
     mean,
     normalize,
     ordinary_mean,
+    quad,
     random_interval_union,
     reconstruct,
     uniqueness_check,
 )
+from meanmeasure import measures
 
 E = math.e
 WINDOW = (0.25, 64.0)
@@ -72,9 +74,15 @@ def test_round_trip_against_named_means(built):
 
 
 def test_self_check_error_is_recorded(built):
-    for spec in built.values():
+    for name, spec in built.items():
         cm = spec.construction
         assert 0.0 <= cm.round_trip_max_rel_err <= 1e-6
+        a, b = cm.round_trip_worst_pair
+        want = ordinary_mean(name)(a, b)
+        assert abs(reconstruct(spec, a, b) - want) / abs(want) == \
+            cm.round_trip_max_rel_err
+        assert set(cm.build_seconds) == {"tabulate_join", "tables", "self_check"}
+        assert all(0.0 < t < 10.0 for t in cm.build_seconds.values())
         assert set(cm.series) == {"left", "right"}
         for series in cm.series.values():
             assert series["degree"] == 32 and 0.0 < series["tail"] < 1e-14
@@ -139,16 +147,16 @@ def test_kinked_section_is_rejected():
 
 def test_log_mean_section_slope_near_pivot():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
     slope = ordinary_mean("logarithmic").section_deriv
     rng = np.random.default_rng(43)
     xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000)).tolist()
     d = np.geomspace(1e-12, 0.5, 100).tolist()
     xs += [1.0 + e for e in d] + [1.0 - e for e in d]
-    for x in xs:
-        L = mpmath.log(x)
-        want = (L - (x - 1) / mpmath.mpf(x)) / L ** 2
-        assert abs(slope(x) - want) <= 1e-15 * want, x
+    with mpmath.workdps(50):
+        for x in xs:
+            L = mpmath.log(x)
+            want = (L - (x - 1) / mpmath.mpf(x)) / L ** 2
+            assert abs(slope(x) - want) <= 1e-15 * want, x
 
 
 def test_narrow_pairs_at_window_top():
@@ -253,16 +261,62 @@ def test_reconstruct_is_scale_invariant(built):
         assert reconstruct(scaled, a, b) == reconstruct(spec, a, b)
 
 
-def test_built_mean_evaluates_log_F_four_times_per_interval(built):
+def test_built_mean_evaluates_log_F_twice_per_interval(built):
+    # one log F and one gap x - K(1, x) per endpoint gives both f and F
     cm = built["harmonic"].construction
-    calls = []
-    log_F = cm.log_F
-    cm.log_F = lambda x: calls.append(x) or log_F(x)
+    calls = {"log_F": 0, "K": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    section = cm.section
+    cm.log_F = counted("log_F", cm.log_F)
+    cm.section = counted("K", section)
     try:
         mean(built["harmonic"], normalize([(2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]))
     finally:
         del cm.log_F
-    assert len(calls) == 4 * 3
+        cm.section = section
+    assert calls == {"log_F": 2 * 3, "K": 2 * 3}
+
+
+def test_built_mean_is_bit_identical_to_primitive_calls():
+    # the same fields in a plain MeasureSpec call cdf and antiderivative apart
+    rng = np.random.default_rng(47)
+    for name, window in itertools.product(
+            ["arithmetic", "geometric", "harmonic", "logarithmic"],
+            [WINDOW, (2.0, 50.0), (0.01, 0.9)]):
+        spec = build(ordinary_mean(name), window)
+        plain = MeasureSpec(**{f.name: getattr(spec, f.name)
+                               for f in dataclasses.fields(MeasureSpec)})
+        lo, hi = window
+        for _ in range(100):
+            H = random_interval_union(rng, (lo + 1e-3 * (hi - lo),
+                                            hi - 1e-3 * (hi - lo)), 8)
+            assert mean(spec, H) == mean(plain, H), (name, window, H)
+
+
+def test_built_measure_without_primitives_uses_quadrature(built, monkeypatch):
+    calls = []
+    monkeypatch.setattr(measures, "quad", lambda *a: calls.append(a) or quad(*a))
+    spec = dataclasses.replace(built["geometric"], cdf=None, antiderivative=None)
+    H = normalize([(2.0, 3.0), (4.0, 5.0)])
+    assert mean(spec, H).value == pytest.approx(mean(built["geometric"], H).value,
+                                                rel=1e-9)
+    assert len(calls) == 2 * 2
+
+
+def test_replaced_primitive_is_called(built):
+    spec = built["geometric"]
+    calls = []
+    replaced = dataclasses.replace(
+        spec, cdf=lambda x: calls.append(x) or spec.construction.f(x))
+    H = normalize([(2.0, 3.0), (4.0, 5.0)])
+    assert mean(replaced, H) == mean(spec, H)
+    assert calls == [2.0, 3.0, 4.0, 5.0]
 
 
 def test_reconstruct_on_catalog_measures():

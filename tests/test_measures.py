@@ -15,8 +15,10 @@ from meanmeasure import (
     catalog,
     consistency_errors,
     density_ratio_increasing,
+    mean,
     normalize,
     quad,
+    random_interval_union,
 )
 from meanmeasure import measures
 
@@ -122,6 +124,49 @@ def test_quadrature_fallback_matches_closed_form():
     assert density_only.mu(H) == pytest.approx(want, rel=1e-9)
     moment_want = (math.sqrt(4) - 1 + math.sqrt(16) - math.sqrt(9)) / E2
     assert density_only.first_moment(H) == pytest.approx(moment_want, rel=1e-9)
+
+
+# sets drawn for the quadrature err test: the windows meanmeasure's verify
+# suites draw from, two of them across 0
+ERR_WINDOWS = {"lebesgue": (-50.0, 50.0), "exponential": (-5.0, 5.0)}
+# median err over actual error per measure.  Where the rounding of the
+# moment sets err (lebesgue, square) it stays within 100, the usefulness aim.
+# Elsewhere other terms set it, 139 for exponential (mean's own 4 eps |value|)
+# and 6e4 to 1e6 for geometric, harmonic and logarithmic (quad's
+# |Kronrod - Gauss| estimate); these bounds keep it from growing further.
+ERR_MEDIAN_BOUND = {"lebesgue": 100.0, "square": 100.0, "exponential": 200.0,
+                    "geometric": 1e7, "harmonic": 1e7, "logarithmic": 1e7}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_quadrature_err_bounds_the_error(name):
+    # a moment that cancels across 0 must carry its own rounding in err
+    mp = pytest.importorskip("mpmath")
+    spec = dataclasses.replace(catalog(name), cdf=None, antiderivative=None)
+    # the catalog's primitives, evaluated in mpmath
+    f = {"lebesgue": lambda x: x, "square": lambda x: x * x,
+         "exponential": mp.exp, "logarithmic": mp.log,
+         "geometric": lambda x: (1 - 1 / mp.sqrt(x)) / mp.e ** 2,
+         "harmonic": lambda x: 1 - 1 / (x * x)}[name]
+    F = {"lebesgue": lambda x: x * x / 2, "square": lambda x: x ** 3 / 3,
+         "exponential": mp.exp, "logarithmic": lambda x: x * mp.log(x) - x,
+         "geometric": lambda x: (mp.sqrt(x) - 1) ** 2 / mp.e ** 2,
+         "harmonic": lambda x: x - 2 + 1 / x}[name]
+    rng = np.random.default_rng(0)
+    ratios = []
+    with mp.workdps(40):
+        for _ in range(1000):
+            H = random_interval_union(rng, ERR_WINDOWS.get(name, (0.1, 100.0)), 8)
+            r = mean(spec, H)
+            mass = moment = mp.mpf(0)
+            for lo, hi in H:
+                a, b = mp.mpf(lo), mp.mpf(hi)
+                mass += f(b) - f(a)
+                moment += b * f(b) - a * f(a) - (F(b) - F(a))
+            actual = float(abs(r.value - moment / mass))
+            assert actual <= r.err, (H, actual, r.err)
+            ratios.append(r.err / actual if actual else math.inf)
+    assert np.median(ratios) <= ERR_MEDIAN_BOUND[name]
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
