@@ -19,7 +19,7 @@ k = ordinary_mean("harmonic")
 spec = build(k, (0.25, 64.0))
 cm = spec.construction
 print(f"built measure for the harmonic mean on (0.25, 64)")
-print(f"  grid points = {len(cm.grid)}, anchor x0 = {cm.x0}, "
+print(f"  table nodes = {cm.nodes}, anchor x0 = {cm.x0}, "
       f"left branch scale = {cm.left_scale:.12f}")
 
 print("\nround trip through the measure:")

@@ -142,9 +142,7 @@ def cmd_construct(args) -> int:
     window = _parse_window(args.window)
     if not (args.tol > 0.0):
         raise InvalidInterval(f"--tol must be positive, got {args.tol!r}")
-    if args.points < 64:
-        raise InvalidInterval(f"--points must be at least 64, got {args.points!r}")
-    spec = build(k, window, tol=args.tol, points_per_branch=args.points)
+    spec = build(k, window, tol=args.tol)
     cm = spec.construction
     lo, hi = window
     probes = np.exp(np.linspace(math.log(lo), math.log(hi), 12))[1:-1]
@@ -153,7 +151,7 @@ def cmd_construct(args) -> int:
     payload = {
         "mean": k.name,
         "window": [lo, hi],
-        "grid_points": int(len(cm.grid)),
+        "grid_points": cm.nodes,
         "x0": cm.x0,
         "left_scale": cm.left_scale,
         "density_probes": density_probes,
@@ -246,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arithmetic | geometric | harmonic | logarithmic | power:p")
     p.add_argument("--window", default="0.25,64")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--points", type=int, default=2048)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 

@@ -10,8 +10,9 @@ Each branch (left and right of the pivot 1) is tabulated in ``t = |log x|``,
 where the slope of ``log F`` in ``log t`` is smooth and equals 2 at the pivot.
 That slope is interpolated at Chebyshev points, doubling the degree until
 the coefficients level off, and ``log F = 2 log t + int (slope - 2)/t`` is
-integrated exactly in coefficient space, then evaluated once on a dense
-table.  ``F = 1`` at an anchor ``b > 1`` and ``F = s`` at an anchor
+integrated exactly in coefficient space, then evaluated once on a table of
+8192 nodes per branch, where ``f`` must rise and ``w`` be positive.
+``F = 1`` at an anchor ``b > 1`` and ``F = s`` at an anchor
 ``a < 1``.  As ``F(1) = f(1) = 0``, the first moment
 ``int_a^b (x - K(a, b)) dmu`` vanishes exactly when
 ``(b - K) f(b) - F(b) = (a - K) f(a) - F(a)``: linear in ``s``, so the
@@ -50,6 +51,8 @@ _T_MIN = 1e-9
 _T_CANCEL = 0.5
 # Chebyshev degrees per branch: the first tried, and the last before giving up
 _DEG_MIN, _DEG_MAX = 32, 512
+# nodes per branch of the table the series is evaluated on
+_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -139,33 +142,34 @@ def ordinary_mean(name: str) -> OrdinaryMean:
 
 
 class _Branch:
-    """One tabulated side of the pivot, from the Chebyshev series ``c`` of
-    :func:`_slope_series`.
+    """One tabulated side of the pivot, ending at ``exact_end``.
 
-    The series is evaluated once on ``n`` nodes, half geometric in
-    ``t = |log x|``, clustered against the pivot, and half uniform, so the
-    far end is resolved too.  Between nodes ``log F`` is a cubic Hermite in
-    ``v = log t`` with the slopes ``h`` (Fritsch & Carlson, SIAM J. Numer.
-    Anal. 17(2), 1980).  The anchor gets log F = ``log_anchor`` exactly.
+    The Chebyshev series of :func:`_slope_series` is evaluated once on
+    ``_NODES`` nodes, half geometric in ``t = |log x|``, clustered against
+    the pivot, and half uniform, so the far end is resolved too.  Between
+    nodes ``log F`` is a cubic Hermite in ``v = log t`` with the slopes ``h``
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980).  The anchor gets
+    log F = ``log_anchor`` exactly.  Raises :class:`NotIncreasing` unless
+    ``f`` moves away from ``f(1) = 0`` at every node, and
+    :class:`NotStrictlyInternal` unless the density is positive at every node.
     """
 
-    def __init__(self, c: np.ndarray, series: dict, exact_end: float,
-                 anchor_x: float, log_anchor: float, n: int):
+    def __init__(self, k: OrdinaryMean, exact_end: float, anchor_x: float,
+                 log_anchor: float):
         from numpy.polynomial import chebyshev as cheb
 
+        c, self.series = _slope_series(k, exact_end)
         self.side = side = 1 if exact_end > 1.0 else -1  # side of the pivot
         self.anchor_x = anchor_x
-        self.series = series
         t_end = abs(math.log(exact_end))
-        t = np.concatenate([np.geomspace(_T_MIN, t_end, n // 2),
-                            np.linspace(_T_MIN, t_end, n - n // 2)])
+        t = np.concatenate([np.geomspace(_T_MIN, t_end, _NODES // 2),
+                            np.linspace(_T_MIN, t_end, _NODES - _NODES // 2)])
         t_anchor = abs(math.log(anchor_x))
         # keep the anchor as an exact node without near-duplicate neighbors
         t = t[np.abs(t - t_anchor) > 1e-9 * t_anchor]
         t = np.unique(np.concatenate([t, [t_anchor]]))
         x = np.exp(side * t)
         x[-1] = exact_end  # force the window endpoint exactly
-        self.x = x = np.sort(x)
         i = int(np.argmin(np.abs(x - anchor_x)))
         x[i] = anchor_x
         t = np.abs(np.log(x))
@@ -174,15 +178,23 @@ class _Branch:
         u = np.clip(2.0 * t / t_end - 1.0, -1.0, 1.0)
         h, R = cheb.chebval(u, c), cheb.chebval(u, R)
         dh = cheb.chebval(u, cheb.chebder(c)) * (2.0 / t_end)
-        self.logF = 2.0 * (np.log(t) - math.log(t[i])) + (R - R[i]) + log_anchor
-        self.gap = side * t * x / h
-        # g' = 1 - gap', with gap = side t x / h
-        self.slope = 1.0 - (1.0 + side * t) / h + t * dh / (h * h)
-        order = np.argsort(t)
-        self._v = np.log(t[order]).tolist()
-        self._y = self.logF[order].tolist()
-        self._dy = h[order].tolist()
-        self.t_first, self.dy_first = float(t[order[0]]), self._dy[0]
+        logF = 2.0 * (np.log(t) - math.log(t[i])) + (R - R[i]) + log_anchor
+        F = np.exp(logF)
+        gap = side * t * x / h
+        # f = F / gap moves away from f(1) = 0, which keeps the pair across
+        # the pivot, and w = g' F / gap^2 with g' = 1 - gap' is positive
+        if not np.all(side * np.diff(F / gap, prepend=0.0) > 0.0):
+            raise NotIncreasing(
+                f"constructed primitive for {k.name!r} is not strictly increasing"
+            )
+        if not np.all((1.0 - (1.0 + side * t) / h + t * dh / (h * h)) * F > 0.0):
+            raise NotStrictlyInternal(
+                f"constructed density for {k.name!r} is not strictly positive"
+            )
+        self._v = np.log(t).tolist()
+        self._y = logF.tolist()
+        self._dy = h.tolist()
+        self.t_first, self.dy_first = float(t[0]), self._dy[0]
         self.v_min = self._v[0]
         self.v_max = self._v[-1]
 
@@ -207,9 +219,10 @@ class _Branch:
 class ConstructedMeasure:
     """Tabulated primitives of a measure synthesized from a two-argument mean.
 
-    ``grid`` excludes the pivot x = 1; ``F(1) = f(1) = 0`` are analytic
-    limits.  ``F(x0) = 1`` exactly at the right-branch anchor, and the left
-    branch's anchor carries the joining factor ``left_scale``.
+    ``nodes`` counts the nodes of both branches' tables, which exclude the
+    pivot x = 1; ``F(1) = f(1) = 0`` are analytic limits.  ``F(x0) = 1``
+    exactly at the right-branch anchor, and the left branch's anchor carries
+    the joining factor ``left_scale``.
     """
 
     def __init__(self, name: str, window: tuple[float, float],
@@ -225,13 +238,7 @@ class ConstructedMeasure:
         self._left = left
         self.left_scale = left_scale
         self.x0 = right.anchor_x if right is not None else left.anchor_x
-        branches = [b for b in (left, right) if b is not None]
-        self.grid = np.concatenate([b.x for b in branches])
-        self.logF = np.concatenate([b.logF for b in branches])
-        gap = np.concatenate([b.gap for b in branches])
-        F = np.exp(self.logF)
-        self.f_tab = F / gap
-        self.w_tab = np.concatenate([b.slope for b in branches]) * F / (gap * gap)
+        self.nodes = sum(len(b._v) for b in (left, right) if b is not None)
         # each branch's Chebyshev degree and its coefficients past the plateau
         self.series = {name: b.series for name, b in (("left", left),
                        ("right", right)) if b is not None}
@@ -403,16 +410,17 @@ def _left_scale(k: OrdinaryMean, a: float, b: float) -> float:
     return scale
 
 
-def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
-          points_per_branch: int = 8192) -> MeasureSpec:
+def build(k: OrdinaryMean, window: tuple[float, float],
+          tol: float = 1e-9) -> MeasureSpec:
     """Tabulate the measure generating ``k`` on ``window``.
 
     The window must sit inside the mean's domain with positive lower end.
-    Returns a :class:`MeasureSpec` whose primitives interpolate the
-    tabulation; the underlying :class:`ConstructedMeasure` rides along in
-    its ``construction`` field, with the worst relative error of the
-    self-check against ``k`` on probe pairs in ``round_trip_max_rel_err``
-    (the pair in ``round_trip_worst_pair``) and the seconds of each phase in
+    Returns a :class:`MeasureSpec` whose primitives interpolate a table of
+    ``_NODES`` nodes on each side of 1 that the window reaches; the
+    underlying :class:`ConstructedMeasure` rides along in its
+    ``construction`` field, with the worst relative error of the self-check
+    against ``k`` on probe pairs in ``round_trip_max_rel_err`` (the pair in
+    ``round_trip_worst_pair``) and the seconds of each phase in
     ``build_seconds``.  Raises :class:`QuadratureError` when that check misses
     ``max(tol, 1e-6 |k|)``.
     """
@@ -432,10 +440,9 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
     left_scale = _left_scale(k, a, b) if lo < 1.0 < hi else 1.0
     right = left = None
     if hi > 1.0:
-        right = _Branch(*_slope_series(k, hi), hi, b, 0.0, points_per_branch)
+        right = _Branch(k, hi, b, 0.0)
     if lo < 1.0:
-        left = _Branch(*_slope_series(k, lo), lo, a, math.log(left_scale),
-                       points_per_branch)
+        left = _Branch(k, lo, a, math.log(left_scale))
 
     tabulated = time.perf_counter()
     cm = ConstructedMeasure(
@@ -447,14 +454,6 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
         left=left,
         left_scale=left_scale,
     )
-    if not np.all(np.diff(cm.f_tab) > 0.0):
-        raise NotIncreasing(
-            f"constructed primitive for {k.name!r} is not strictly increasing"
-        )
-    if not np.all(cm.w_tab > 0.0):
-        raise NotStrictlyInternal(
-            f"constructed density for {k.name!r} is not strictly positive"
-        )
     spec = cm.to_spec()
     tables = time.perf_counter()
 
@@ -476,9 +475,8 @@ def build(k: OrdinaryMean, window: tuple[float, float], tol: float = 1e-9,
         if abs(got - want) > max(tol, 1e-6 * abs(want)):
             raise QuadratureError(
                 f"tabulation reproduces K({a:g},{b:g}) as {got!r}, want "
-                f"{want!r}; either raise points_per_branch, or no measure "
-                f"generates the mean {k.name!r} (its section only pins the "
-                f"mean against 1)"
+                f"{want!r}; no measure generates the mean {k.name!r} (its "
+                f"section only pins the mean against 1)"
             )
     cm.round_trip_max_rel_err = worst
     cm.build_seconds = {"tabulate_join": tabulated - start, "tables": tables - tabulated,

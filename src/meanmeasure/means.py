@@ -20,14 +20,13 @@ import numpy as np
 from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNested
 from .intervals import IntervalSet, normalize
 from .measures import (
+    _EPS,
     MeasureSpec,
     RatioCertificate,
     _ScaledMeasure,
     density_ratio_increasing,
 )
 from .quadrature import quad
-
-_EPS = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -279,13 +278,12 @@ def exp_avg_log(H: IntervalSet) -> float:
     return math.exp(avg(mapped))
 
 
-def m_bound(spec: MeasureSpec, interval: tuple[float, float],
-            levels: int = 7) -> BoundPair:
+def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
     """Bounds on mu(J)/lambda(J) over subintervals J of ``interval``.
 
     For a declared monotone density the infimum and supremum are the density
     limits at the interval's ends (exact).  Otherwise a refining family of
-    uniform subintervals gives inner estimates.
+    uniform subintervals, 1 to 64 pieces, gives inner estimates.
     """
     lo, hi = interval
     if not (lo < hi):
@@ -297,7 +295,7 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float],
         return BoundPair(m=spec.density(lo), M=spec.density(hi), exact=True)
     m_est = math.inf
     M_est = -math.inf
-    for k in range(levels):
+    for k in range(7):
         edges = np.linspace(lo, hi, 2 ** k + 1)
         for j in range(len(edges) - 1):
             piece = normalize([(edges[j], edges[j + 1])])

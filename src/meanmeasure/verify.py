@@ -154,7 +154,7 @@ def suite_decomposition(cases: int = 500, seed: int = 4) -> SuiteResult:
     return out
 
 
-def suite_cantor(cases: int = 500, seed: int = 5, depth: int = 15) -> SuiteResult:
+def suite_cantor(cases: int = 500, seed: int = 5) -> SuiteResult:
     rng = np.random.default_rng(seed)
     out = SuiteResult("cantor-continuity", cases)
     for _ in range(cases):
@@ -165,7 +165,7 @@ def suite_cantor(cases: int = 500, seed: int = 5, depth: int = 15) -> SuiteResul
         c = base.supremum() + 0.05 * span
         width = 0.2 * span
         chain = [base.union(normalize([(c, c + width * 0.5 ** i)]))
-                 for i in range(depth)]
+                 for i in range(15)]
         chain.append(base)
         gaps = cantor_probe(spec, chain)
         scale = 1.0 + abs(mean(spec, base).value)
@@ -178,8 +178,7 @@ def suite_cantor(cases: int = 500, seed: int = 5, depth: int = 15) -> SuiteResul
     return out
 
 
-def suite_dmu_continuity(cases: int = 500, seed: int = 6,
-                         depth: int = 18) -> SuiteResult:
+def suite_dmu_continuity(cases: int = 500, seed: int = 6) -> SuiteResult:
     """Shrinking the symmetric difference shrinks the mean gap, monotonically.
 
     On a bounded window the mean is Lipschitz in the pseudo-metric once the
@@ -190,6 +189,7 @@ def suite_dmu_continuity(cases: int = 500, seed: int = 6,
     """
     rng = np.random.default_rng(seed)
     out = SuiteResult("dmu-continuity", cases)
+    depth = 18  # halvings of the bump
     for _ in range(cases):
         spec, window = _pick(rng)
         lo, hi = window
@@ -248,9 +248,9 @@ def counterexample_unbounded_window(delta: float = 0.01) -> dict:
     }
 
 
-def suite_am_gm(cases: int = 1000, seed: int = 7,
-                window: tuple[float, float] = (0.1, 100.0)) -> SuiteResult:
+def suite_am_gm(cases: int = 1000, seed: int = 7) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    window = (0.1, 100.0)
     out = SuiteResult("am-gm", cases)
     geo = catalog("geometric")
     for _ in range(cases):

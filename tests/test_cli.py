@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from meanmeasure import UnknownMeasure
+from meanmeasure import UnknownMeasure, build, ordinary_mean
 from meanmeasure.cli import main
 from meanmeasure.verify import run_suites
 
@@ -132,6 +132,16 @@ def test_construct_harmonic_readme_window(capsys):
     assert json.loads(out)["round_trip_max_rel_err"] <= 1e-6
 
 
+def test_construct_reports_the_library_build(capsys):
+    code, out, err = run(capsys, "construct", "--mean", "harmonic",
+                         "--window", "0.25,64")
+    assert code == 0, err
+    payload = json.loads(out)
+    cm = build(ordinary_mean("harmonic"), (0.25, 64.0)).construction
+    assert payload["round_trip_max_rel_err"] == cm.round_trip_max_rel_err
+    assert payload["grid_points"] == cm.nodes == 16382
+
+
 def test_sweep_out_file_matches_stdout(tmp_path, capsys):
     args = ("sweep", "--measure", "geometric", "--set", "[1,2]",
             "--shifts", "0,10")
@@ -146,9 +156,6 @@ def test_construct_argument_validation(capsys):
     code, _, err = run(capsys, "construct", "--mean", "geometric",
                        "--tol", "-1")
     assert code == 2 and "--tol" in err
-    code, _, err = run(capsys, "construct", "--mean", "geometric",
-                       "--points", "10")
-    assert code == 2 and "--points" in err
 
 
 def test_construct_rejects_non_generated_mean(capsys):
