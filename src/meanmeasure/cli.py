@@ -19,11 +19,7 @@ import dataclasses
 import math
 import os
 import sys
-import tempfile
 
-import numpy as np
-
-from .construct import build, ordinary_mean
 from .errors import InvalidInterval, MeanMeasureError, ParseError, UnknownMeasure
 from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
@@ -56,10 +52,13 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    # a numpy scalar can only exist once numpy is loaded, so do not load it
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
     return obj
 
 
@@ -98,6 +97,8 @@ def _emit(text: str, out_path) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meanmeasure-")
     try:
@@ -138,6 +139,10 @@ def cmd_mean(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    import numpy as np
+
+    from .construct import build, ordinary_mean
+
     k = ordinary_mean(args.mean)
     window = _parse_window(args.window)
     if not (args.tol > 0.0):

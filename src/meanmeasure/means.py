@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNested
 from .intervals import IntervalSet, normalize
@@ -27,6 +25,9 @@ from .measures import (
     density_ratio_increasing,
 )
 from .quadrature import quad
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,8 @@ def random_interval_union(rng: np.random.Generator, window: tuple[float, float],
                           max_intervals: int = 5,
                           min_intervals: int = 1) -> IntervalSet:
     """Random disjoint union of 1..max_intervals intervals inside ``window``."""
+    import numpy as np
+
     lo, hi = window
     while True:
         k = int(rng.integers(min_intervals, max_intervals + 1))
@@ -230,6 +233,11 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
     refutes with a witness; a clean run with an inconclusive ratio check
     stays inconclusive.
     """
+    if n_probe < 0 or n_random < 0:
+        raise InvalidInterval("n_probe and n_random must be non-negative, "
+                              f"got {n_probe!r} and {n_random!r}")
+    import numpy as np
+
     rng = np.random.default_rng(rng)
     lo, hi = window
     box = normalize([(lo, hi)])
@@ -293,6 +301,8 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
         return BoundPair(m=spec.density(hi), M=spec.density(lo), exact=True)
     if spec.density_shape == "increasing":
         return BoundPair(m=spec.density(lo), M=spec.density(hi), exact=True)
+    import numpy as np
+
     m_est = math.inf
     M_est = -math.inf
     for k in range(7):

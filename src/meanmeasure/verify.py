@@ -12,10 +12,9 @@ run these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import UnknownMeasure
+from .errors import EmptySet, UnknownMeasure
 from .intervals import IntervalSet, normalize
 from .means import (
     avg,
@@ -28,6 +27,9 @@ from .means import (
     random_interval_union,
 )
 from .measures import catalog
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WINDOWS = {
     "lebesgue": (-50.0, 50.0),
@@ -58,6 +60,13 @@ class SuiteResult:
             self.failures[-1] = "... more failures suppressed"
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """A suite's generator; numpy loads here, so ``cli`` can import this module."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 def _pick(rng: np.random.Generator):
     name = _POOL[int(rng.integers(len(_POOL)))]
     return catalog(name), _WINDOWS[name]
@@ -70,11 +79,11 @@ def _disjoint_sample(rng, window, exclude: IntervalSet,
         H = H.subtract(exclude)
         if not H.is_empty:
             return H
-    raise RuntimeError("could not sample a disjoint set")
+    raise EmptySet("could not sample a disjoint set")
 
 
 def suite_internality(cases: int = 500, seed: int = 0) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("internality", cases)
     for _ in range(cases):
         spec, window = _pick(rng)
@@ -87,7 +96,7 @@ def suite_internality(cases: int = 500, seed: int = 0) -> SuiteResult:
 
 
 def suite_strict_internality(cases: int = 500, seed: int = 1) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("strict-strong-internality", cases)
     for _ in range(cases):
         spec, window = _pick(rng)
@@ -99,7 +108,7 @@ def suite_strict_internality(cases: int = 500, seed: int = 1) -> SuiteResult:
 
 
 def suite_disjoint_monotone(cases: int = 500, seed: int = 2) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("disjoint-monotone", cases)
     for _ in range(cases):
         spec, window = _pick(rng)
@@ -113,7 +122,7 @@ def suite_disjoint_monotone(cases: int = 500, seed: int = 2) -> SuiteResult:
 
 
 def suite_union_monotone(cases: int = 500, seed: int = 3) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("union-monotone", cases)
     for _ in range(cases):
         spec, window = _pick(rng)
@@ -137,7 +146,7 @@ def suite_union_monotone(cases: int = 500, seed: int = 3) -> SuiteResult:
 
 
 def suite_decomposition(cases: int = 500, seed: int = 4) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("weighted-decomposition", cases)
     for _ in range(cases):
         spec, window = _pick(rng)
@@ -155,7 +164,7 @@ def suite_decomposition(cases: int = 500, seed: int = 4) -> SuiteResult:
 
 
 def suite_cantor(cases: int = 500, seed: int = 5) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("cantor-continuity", cases)
     for _ in range(cases):
         spec, window = _pick(rng)
@@ -187,7 +196,7 @@ def suite_dmu_continuity(cases: int = 500, seed: int = 6) -> SuiteResult:
     bound together with monotone decay of both the metric and the gap; the
     unbounded-window counterexample is reproduced separately.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = SuiteResult("dmu-continuity", cases)
     depth = 18  # halvings of the bump
     for _ in range(cases):
@@ -249,7 +258,7 @@ def counterexample_unbounded_window(delta: float = 0.01) -> dict:
 
 
 def suite_am_gm(cases: int = 1000, seed: int = 7) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     window = (0.1, 100.0)
     out = SuiteResult("am-gm", cases)
     geo = catalog("geometric")

@@ -4,11 +4,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from meanmeasure import UnknownMeasure, build, ordinary_mean
-from meanmeasure.cli import main
-from meanmeasure.verify import run_suites
+from meanmeasure import EmptySet, UnknownMeasure, build, normalize, ordinary_mean
+from meanmeasure.cli import _jsonable, main
+from meanmeasure.verify import _disjoint_sample, run_suites
 
 
 def run(capsys, *argv):
@@ -69,6 +70,21 @@ def test_compare_refuted_exit_one(capsys):
     payload = json.loads(out)
     assert payload["status"] == "refuted"
     assert payload["witness"] is not None
+
+
+@pytest.mark.parametrize("counts", [("-5", "-7"), ("-1", "500"), ("200", "-1")])
+def test_compare_rejects_negative_counts(capsys, counts):
+    code, out, err = run(capsys, "compare", "--mu", "geometric",
+                         "--nu", "lebesgue", "--window", "0.1,100",
+                         "--probes", counts[0], "--random", counts[1])
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+
+
+def test_jsonable_converts_numpy_scalars():
+    got = _jsonable({"x": np.float64(0.5), "n": np.int64(3)})
+    assert got == {"x": 0.5, "n": 3}
+    assert type(got["x"]) is float and type(got["n"]) is int
 
 
 def test_parse_error_exit_two(capsys):
@@ -183,6 +199,12 @@ def test_verify_unknown_suite(capsys):
 def test_run_suites_rejects_unknown_suite():
     with pytest.raises(UnknownMeasure, match="unknown suite 'nonsense'"):
         run_suites(["internality", "nonsense"], cases=1)
+
+
+def test_disjoint_sample_raises_a_typed_error():
+    window = (0.1, 100.0)
+    with pytest.raises(EmptySet, match="disjoint"):
+        _disjoint_sample(np.random.default_rng(0), window, normalize([window]))
 
 
 def test_verify_rejects_non_positive_cases(capsys):
