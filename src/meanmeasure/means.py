@@ -24,7 +24,7 @@ from .measures import (
     _ScaledMeasure,
     density_ratio_increasing,
 )
-from .quadrature import quad
+from .quadrature import PanelSums, quad
 
 if TYPE_CHECKING:
     import numpy as np
@@ -340,17 +340,22 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float,
 
     Evaluates the double integral by iterated adaptive quadrature of the
     density (an independent route; no antiderivatives are consulted) and
-    divides by the squared mass of ``[a, b]``.
+    divides by the squared mass of ``[a, b]``.  The mass pass and every inner
+    pass read one :class:`~meanmeasure.quadrature.PanelSums` table over
+    ``[a, b]``: an inner panel at ``y`` is ``(K1 + y K0) / 2`` from the
+    table's Kronrod sums of ``x w`` and ``w``, with the Gauss sums giving its
+    error.  Each inner integral is still refined on its own to its own
+    tolerance; it is not replaced by the single-integral mean.
     """
     if not (a < b):
         raise InvalidInterval(f"double integral needs a < b, got ({a!r}, {b!r})")
     box = normalize([(a, b)])
     spec.require_domain(box)
-    mass = quad(spec.density, a, b, abs_tol=tol * 1e-3, rel_tol=1e-10).value
+    table = PanelSums(spec.density)
+    mass = quad(table.mass, a, b, abs_tol=tol * 1e-3, rel_tol=1e-10).value
 
     def outer_integrand(y: float) -> float:
-        inner = quad(lambda x: 0.5 * (x + y) * spec.density(x), a, b,
-                     abs_tol=tol * 1e-3, rel_tol=1e-10)
+        inner = quad(table.inner(y), a, b, abs_tol=tol * 1e-3, rel_tol=1e-10)
         return inner.value * spec.density(y)
 
     outer = quad(outer_integrand, a, b, abs_tol=tol * 1e-2, rel_tol=1e-9)

@@ -5,7 +5,8 @@ optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 ``f(b) - f(a)``) and an optional second primitive ``F`` with ``F' = f``.
 :meth:`MeasureSpec.integrate` takes a set's mass and first moment in one
 pass: from closed forms when both primitives are present, evaluating each
-once per endpoint, and otherwise from adaptive quadrature of ``w``.
+once per endpoint, and otherwise from adaptive quadrature of ``w``, whose
+mass and moment passes share one evaluation of ``w`` per node.
 :meth:`MeasureSpec.mu` takes the same pass without the moment.
 
 The catalog holds the measures generating the classical two-argument means
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 from .errors import DomainError, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet
-from .quadrature import quad
+from .quadrature import PanelSums, quad
 
 _EPS = 2.0 ** -50  # a couple of ulps, for rounding-error propagation
 _E2 = math.e ** 2
@@ -90,15 +91,17 @@ class MeasureSpec:
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
         fF = self._f_and_F()
+        # one panel table for the set: the passes of an interval share it
+        table = PanelSums(self.density) if f is None or F is None else None
         try:
             for lo, hi in H:
-                if f is None or F is None:
-                    r = quad(self.density, lo, hi,
+                if table is not None:
+                    r = quad(table.mass, lo, hi,
                              DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
                     mass += r.value
                     mass_err += r.error_estimate
                     if with_moment:
-                        m = quad(lambda x: x * self.density(x), lo, hi,
+                        m = quad(table.moment, lo, hi,
                                  DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
                                  DEFAULT_MAX_PANELS)
                         moment += m.value

@@ -5,13 +5,24 @@ the difference of the two estimates is used as a (conservative) per-panel
 error bound.  The panel with the worst bound is bisected until the summed
 bound meets the requested tolerance or the panel budget runs out.  The sums
 are kept as running totals, as QUADPACK's QAG does (Piessens et al., 1983),
-and recomputed exactly with ``fsum`` before either exit.
+and recomputed exactly with ``fsum`` before either exit (a single panel's
+totals are exact already).
+
+Passes over one density on one interval bisect it the same way, so they meet
+the same panels.  A :class:`PanelSums` table evaluates the density once at
+each panel's nodes and keeps the Kronrod and Gauss sums of ``w`` and of
+``x w`` there; ``quad`` takes one of its passes (``mass``, ``moment`` or
+``inner(y)``) in place of an integrand and reads each panel from the table.
+Every pass still keeps its own partition, error estimate, stopping rule and
+panel budget: only the density evaluations behind the panels are shared.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidInterval, QuadratureError
@@ -53,27 +64,111 @@ class QuadratureResult:
     evaluations: int
 
 
+# the 15 nodes as offsets in half widths from the centre: centre first, then
+# each pair about it; a node is centre + half * t, the same float as
+# centre - half * _XGK[i] for a negative offset
+_T = (0.0,) + tuple(t for x in _XGK[:7] for t in (-x, x))
+
+
+def _sums(f, half, a, b):
+    """Kronrod sum, and Kronrod minus Gauss, of node values in ``_T`` order.
+
+    The sums run in the order of QUADPACK's QK15.  Every Kronrod weight is
+    positive, so the Kronrod sum is finite only when every value is.
+    """
+    fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = f
+    s1 = a1 + b1
+    s3 = a3 + b3
+    s5 = a5 + b5
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    kron = (k7 * fc + k0 * (a0 + b0) + k1 * s1 + k2 * (a2 + b2) + k3 * s3
+            + k4 * (a4 + b4) + k5 * s5 + k6 * (a6 + b6))
+    if not math.isfinite(kron):
+        if not math.isfinite(fc):
+            raise QuadratureError(f"integrand not finite at {0.5 * (a + b)!r}")
+        if not all(map(math.isfinite, f)):
+            raise QuadratureError(f"integrand not finite inside ({a!r}, {b!r})")
+    g0, g1, g2, g3 = _WG
+    gauss = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    kron *= half
+    return kron, kron - gauss * half
+
+
 def _panel(fn, a, b):
-    """Kronrod value and |Kronrod - Gauss| error bound for one panel."""
+    """Kronrod value, |Kronrod - Gauss| error bound and evaluations made."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = fn(center)
-    if not math.isfinite(fc):
-        raise QuadratureError(f"integrand not finite at {center!r}")
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = fn(center - dx)
-        f2 = fn(center + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise QuadratureError(f"integrand not finite inside ({a!r}, {b!r})")
-        kron += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (f1 + f2)
-    kron *= half
-    gauss *= half
-    return kron, abs(kron - gauss)
+    kron, diff = _sums([fn(center + half * t) for t in _T], half, a, b)
+    return kron, abs(diff), 15
+
+
+class _Pass:
+    """One integrand over a :class:`PanelSums` table, for ``quad``."""
+
+    __slots__ = ("panel",)
+
+    def __init__(self, panel):
+        self.panel = panel  # (lo, hi) -> (value, error, evaluations made)
+
+
+def _pair(rows, density, power, lo, hi):
+    """``(K, K - G)`` of ``x**power w`` on ``[lo, hi]`` from the table's
+    ``rows``, and the density evaluations made."""
+    row = rows.get((lo, hi))
+    made = 0
+    if row is None:
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        xs = [center + half * t for t in _T]
+        row = rows[(lo, hi)] = [xs, list(map(density, xs)), half, None, None]
+        made = 15
+    pair = row[3 + power]
+    if pair is None:
+        vals = row[1] if power == 0 else list(map(operator.mul, row[0], row[1]))
+        pair = row[3 + power] = _sums(vals, row[2], lo, hi)
+    return pair, made
+
+
+def _table_panel(rows, density, power, lo, hi):
+    (kron, diff), made = _pair(rows, density, power, lo, hi)
+    return kron, abs(diff), made
+
+
+class PanelSums:
+    """A density's Kronrod and Gauss panel sums, shared by several passes.
+
+    The density ``w`` is evaluated once at a panel's 15 nodes, whichever pass
+    reaches the panel first.  The sums of ``w`` and of ``x w`` are formed and
+    checked only when a pass asks for them, so a mass-only pass never forms
+    ``x w``.  A table lives for one computation: it keeps every panel met.
+    """
+
+    def __init__(self, density):
+        # (lo, hi) -> [nodes, density there, half width, (K, K - G) of w,
+        # (K, K - G) of x w], each pair formed when first asked for
+        self._rows = rows = {}
+        self._density = density
+        self._both = {}  # (lo, hi) -> both pairs, for the inner passes
+        # passes integrating w and x w (formed as x * w(x) at each node); they
+        # hold the rows, not the table, so no reference cycle outlives a call
+        self.mass = _Pass(functools.partial(_table_panel, rows, density, 0))
+        self.moment = _Pass(functools.partial(_table_panel, rows, density, 1))
+
+    def inner(self, y: float) -> _Pass:
+        """Pass integrating ``(x + y) w(x) / 2``, affine in the table's sums."""
+        rows, density, both = self._rows, self._density, self._both
+
+        def panel(lo, hi):
+            sums = both.get((lo, hi))
+            made = 0
+            if sums is None:
+                (k0, d0), n0 = _pair(rows, density, 0, lo, hi)
+                (k1, d1), n1 = _pair(rows, density, 1, lo, hi)
+                sums = both[(lo, hi)] = (k0, d0, k1, d1)
+                made = n0 + n1
+            k0, d0, k1, d1 = sums
+            return 0.5 * (k1 + y * k0), 0.5 * abs(d1 + y * d0), made
+        return _Pass(panel)
 
 
 def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
@@ -81,16 +176,23 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     """Integrate ``fn`` over ``[a, b]`` to the requested tolerance.
 
     The target is ``|value - integral| <= max(abs_tol, rel_tol * |value|)``.
+    ``fn`` is a callable or a pass of a :class:`PanelSums` table; the result's
+    ``evaluations`` counts the integrand (or density) evaluations made.
     Raises :class:`QuadratureError` carrying the best partial result when the
     panel budget is exhausted first.
     """
     if not (a < b):
         raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
-    value, err = _panel(fn, a, b)
-    evals = 15
-    # heap entries: (-error, tiebreak, lo, hi, value, error); the evaluation
-    # count at a push breaks ties between equal errors in push order
-    heap = [(-err, 0, a, b, value, err)]
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidInterval(f"quad needs finite endpoints, got ({a!r}, {b!r})")
+    if not (abs_tol >= 0.0 and rel_tol >= 0.0):
+        raise InvalidInterval("quad needs non-negative tolerances, got "
+                              f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
+    panel = fn.panel if isinstance(fn, _Pass) else functools.partial(_panel, fn)
+    value, err, evals = panel(a, b)
+    pushes = 0  # breaks ties between equal errors in push order
+    # heap entries: (-error, push, lo, hi, value, error)
+    heap = [(-err, pushes, a, b, value, err)]
     done = []  # panels too narrow to bisect further
     # running totals over all panels, re-summed exactly before either exit
     total_val, total_err = value, err
@@ -98,8 +200,9 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
         spent = len(heap) + len(done) >= max_panels or not heap
         if spent or total_err <= max(abs_tol, rel_tol * abs(total_val)):
             kept = heap + done
-            total_val = math.fsum(p[4] for p in kept)
-            total_err = math.fsum(p[5] for p in kept)
+            if len(kept) > 1:  # one panel's totals are exact already
+                total_val = math.fsum(p[4] for p in kept)
+                total_err = math.fsum(p[5] for p in kept)
             if total_err <= max(abs_tol, rel_tol * abs(total_val)):
                 return QuadratureResult(total_val, total_err, evals)
             if spent:
@@ -113,10 +216,11 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
         if mid <= lo or mid >= hi:
             done.append(item)
             continue
-        v1, e1 = _panel(fn, lo, mid)
-        v2, e2 = _panel(fn, mid, hi)
-        evals += 30
+        v1, e1, n1 = panel(lo, mid)
+        v2, e2, n2 = panel(mid, hi)
+        evals += n1 + n2
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, evals, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, evals + 1, mid, hi, v2, e2))
+        heapq.heappush(heap, (-e1, pushes + 1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, pushes + 2, mid, hi, v2, e2))
+        pushes += 2

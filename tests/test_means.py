@@ -308,6 +308,25 @@ def test_double_integral_examples():
         pytest.approx(3.0, abs=1e-7)
 
 
+def test_double_integral_shares_density_evaluations():
+    g = catalog("geometric")
+    calls = [0]
+
+    def w(x):
+        calls[0] += 1
+        return g.density(x)
+
+    spec = dataclasses.replace(g, cdf=None, antiderivative=None, density=w)
+    assert double_integral_mean(spec, 1.0, 4.0) == pytest.approx(2.0, abs=1e-7)
+    assert calls[0] <= 200
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-8])
+def test_double_integral_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidInterval):
+        double_integral_mean(catalog("geometric"), 1.0, 4.0, tol=tol)
+
+
 def test_mean_unchanged_by_degenerate_points():
     # degenerate points are dropped by the representation, so the mean is
     # bit-for-bit identical

@@ -11,6 +11,7 @@ from meanmeasure import (
     DomainError,
     InvalidInterval,
     MeasureSpec,
+    QuadratureError,
     UnknownMeasure,
     catalog,
     consistency_errors,
@@ -167,6 +168,61 @@ def test_quadrature_err_bounds_the_error(name):
             assert actual <= r.err, (H, actual, r.err)
             ratios.append(r.err / actual if actual else math.inf)
     assert np.median(ratios) <= ERR_MEDIAN_BOUND[name]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_shared_panels_match_two_quad_passes(name):
+    # mean's mass and moment passes read one panel table; each must give
+    # what its own quad pass over a plain integrand gives, bit for bit
+    spec = dataclasses.replace(catalog(name), cdf=None, antiderivative=None)
+    w = spec.density
+    tols = (measures.DEFAULT_ABS_TOL, measures.DEFAULT_REL_TOL,
+            measures.DEFAULT_MAX_PANELS)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        H = random_interval_union(rng, ERR_WINDOWS.get(name, (0.1, 100.0)), 8)
+        mass = mass_err = moment = moment_err = 0.0
+        for lo, hi in H:
+            r = quad(w, lo, hi, *tols)
+            m = quad(lambda x: x * w(x), lo, hi, *tols)
+            mass += r.value
+            mass_err += r.error_estimate
+            moment += m.value
+            moment_err += (m.error_estimate
+                           + measures._EPS * max(abs(lo), abs(hi)) * r.value)
+        value = moment / mass
+        err = ((moment_err + abs(value) * mass_err) / mass
+               + 4.0 * measures._EPS * abs(value))
+        got = mean(spec, H)
+        assert (got.value, got.err) == (value, err), H
+
+
+def test_mean_evaluates_the_density_once_per_node():
+    g = catalog("geometric")
+    calls = [0]
+
+    def w(x):
+        calls[0] += 1
+        return g.density(x)
+
+    spec = dataclasses.replace(g, cdf=None, antiderivative=None, density=w)
+    H = normalize([(1.0, 2.0), (3.0, 5.0), (6.0, 7.0)])
+    spec.mu(H)
+    assert calls[0] == 45
+    calls[0] = 0
+    mean(spec, H)
+    assert calls[0] == 45
+
+
+def test_mu_never_forms_the_moment():
+    # x e^x overflows on [700, 709] where e^x itself does not
+    spec = dataclasses.replace(catalog("exponential"), cdf=None,
+                               antiderivative=None)
+    H = normalize([(700.0, 709.0)])
+    assert spec.mu(H) == pytest.approx(math.exp(709.0) - math.exp(700.0),
+                                       rel=1e-9)
+    with pytest.raises(QuadratureError):
+        mean(spec, H)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

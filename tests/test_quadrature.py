@@ -6,6 +6,7 @@ import time
 import pytest
 
 from meanmeasure import InvalidInterval, QuadratureError, quad
+from meanmeasure.quadrature import PanelSums
 
 
 def test_constant_is_exact():
@@ -61,3 +62,30 @@ def test_default_budget_exhaustion_is_quick():
         quad(lambda x: math.sin(1.0 / x), 1e-6, 1.0, abs_tol=1e-15, rel_tol=1e-15)
     assert time.perf_counter() - start < 2.0
     assert exc_info.value.result.evaluations == 299_985
+
+
+@pytest.mark.parametrize("a, b, abs_tol, rel_tol", [
+    (0.0, math.inf, 1e-10, 1e-9),
+    (-math.inf, 0.0, 1e-10, 1e-9),
+    (0.0, 1.0, math.nan, 1e-9),
+    (0.0, 1.0, 1e-10, math.nan),
+    (0.0, 1.0, -1e-10, 1e-9),
+    (0.0, 1.0, 1e-10, -1e-9),
+])
+def test_invalid_input_rejected_before_evaluation(a, b, abs_tol, rel_tol):
+    calls = []
+    with pytest.raises(InvalidInterval):
+        quad(lambda x: calls.append(x) or 1.0, a, b, abs_tol=abs_tol, rel_tol=rel_tol)
+    assert calls == []
+
+
+def test_panel_table_passes_share_density_evaluations():
+    calls = []
+    table = PanelSums(lambda x: calls.append(x) or math.exp(x))
+    mass = quad(table.mass, 0.0, 2.0)
+    assert mass == quad(math.exp, 0.0, 2.0)
+    moment = quad(table.moment, 0.0, 2.0)
+    assert moment.value == quad(lambda x: x * math.exp(x), 0.0, 2.0).value
+    # every density evaluation is counted by exactly one pass
+    assert len(calls) == mass.evaluations + moment.evaluations
+    assert len(calls) == len(set(calls))
