@@ -1,6 +1,6 @@
 """Synthesizing the measure that generates a given two-argument mean.
 
-Starting from nothing but the callable K(a, b), the builder tabulates the
+Starting from nothing but the callable K(a, b), the builder synthesizes the
 measure whose weighted centroid of [a, b] equals K(a, b). The density is
 recovered up to one positive factor (measures generating the same mean are
 unique up to scale).
@@ -19,7 +19,7 @@ k = ordinary_mean("harmonic")
 spec = build(k, (0.25, 64.0))
 cm = spec.construction
 print(f"built measure for the harmonic mean on (0.25, 64)")
-print(f"  table nodes = {cm.nodes}, anchor x0 = {cm.x0}, "
+print(f"  series points = {cm.nodes}, anchor x0 = {cm.x0}, "
       f"left branch scale = {cm.left_scale:.12f}")
 
 print("\nround trip through the measure:")

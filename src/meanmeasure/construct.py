@@ -6,15 +6,15 @@ reproduces ``K``.  Writing ``g(x) = K(1, x)``, its second primitive
 satisfies ``(log F)'(x) = 1 / (x - g(x))``, ``f = F / (x - g(x))`` is the
 increasing primitive, and the density is ``w = g'(x) F / (x - g(x))^2``.
 
-Each branch (left and right of the pivot 1) is tabulated in ``t = |log x|``,
+Each branch (left and right of the pivot 1) is held in ``t = |log x|``,
 where the slope of ``log F`` in ``log t`` is smooth and equals 2 at the pivot.
 That slope is interpolated at Chebyshev points, doubling the degree until
 the coefficients level off, and ``log F = 2 log t + int (slope - 2)/t`` is
-integrated exactly in coefficient space, then evaluated once on a table of
-8192 nodes per branch, where ``f`` must rise and ``w`` be positive.
-``F = 1`` at an anchor ``b > 1`` and ``F = s`` at an anchor
-``a < 1``.  As ``F(1) = f(1) = 0``, the first moment
-``int_a^b (x - K(a, b)) dmu`` vanishes exactly when
+integrated exactly in coefficient space.  Both series are summed directly
+wherever ``F`` or ``f`` is asked for; at the points they were fitted on,
+``f`` must rise and ``w`` be positive.  ``F = 1`` at an anchor ``b > 1``
+and ``F = s`` at an anchor ``a < 1``.  As ``F(1) = f(1) = 0``, the first
+moment ``int_a^b (x - K(a, b)) dmu`` vanishes exactly when
 ``(b - K) f(b) - F(b) = (a - K) f(a) - F(a)``: linear in ``s``, so the
 joining factor comes from the gaps at the anchors alone.  Measures are only
 determined up to a positive factor, so the normalization is harmless.
@@ -22,7 +22,6 @@ determined up to a positive factor, so the normalization is harmless.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -44,15 +43,13 @@ from .intervals import IntervalSet
 from .means import mean, ordinary
 from .measures import MeasureSpec
 
-# each branch's table starts this far from the pivot in |log x|
-_T_MIN = 1e-9
 # below this |log x| the gap x - K(1, x) loses digits to cancellation, so it
-# is integrated from the section's slope when the mean supplies one
+# is integrated from the section's slope when the mean supplies one, and
+# pointwise it is taken from the series
 _T_CANCEL = 0.5
+_X_CANCEL_LO, _X_CANCEL_HI = math.exp(-_T_CANCEL), math.exp(_T_CANCEL)
 # Chebyshev degrees per branch: the first tried, and the last before giving up
 _DEG_MIN, _DEG_MAX = 32, 512
-# nodes per branch of the table the series is evaluated on
-_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,8 @@ class OrdinaryMean:
     def section_slope(self, x: float) -> float:
         if self.section_deriv is not None:
             return self.section_deriv(x)
-        h = 1e-6 * max(1.0, abs(x))
+        # at most x / 2, so x - h stays inside a window that reaches below 1e-6
+        h = min(1e-6 * max(1.0, abs(x)), 0.5 * abs(x))
         return (self.func(1.0, x + h) - self.func(1.0, x - h)) / (2.0 * h)
 
 
@@ -141,88 +139,72 @@ def ordinary_mean(name: str) -> OrdinaryMean:
     )
 
 
-class _Branch:
-    """One tabulated side of the pivot, ending at ``exact_end``.
+def _clenshaw(rev: list, u: float) -> float:
+    """The Chebyshev series with coefficients ``rev``, highest first, at ``u``
+    (Clenshaw's recurrence)."""
+    b1 = b2 = 0.0
+    u2 = u + u
+    for a in rev:
+        b1, b2 = a + u2 * b1 - b2, b1
+    return b1 - u * b2
 
-    The Chebyshev series of :func:`_slope_series` is evaluated once on
-    ``_NODES`` nodes, half geometric in ``t = |log x|``, clustered against
-    the pivot, and half uniform, so the far end is resolved too.  Between
-    nodes ``log F`` is a cubic Hermite in ``v = log t`` with the slopes ``h``
-    (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980).  The anchor gets
-    log F = ``log_anchor`` exactly.  Raises :class:`NotIncreasing` unless
-    ``f`` moves away from ``f(1) = 0`` at every node, and
-    :class:`NotStrictlyInternal` unless the density is positive at every node.
+
+class _Branch:
+    """One side of the pivot, ending at ``exact_end``.
+
+    In ``t = |log x|`` and ``u = 2 t / t_end - 1``, ``log F = 2 log t + R(u)
+    + const``, where ``R`` integrates ``(h - 2) / t`` in coefficient space
+    from the series ``h`` of :func:`_slope_series`.  Both series are summed
+    directly at any ``t > 0``, down to one ulp from the pivot, and ``const``
+    puts ``log F = log_anchor`` at ``anchor_x``.  Raises
+    :class:`NotIncreasing` unless, at every point the series was fitted on,
+    ``f`` moves away from ``f(1) = 0`` and the density is positive.
     """
 
     def __init__(self, k: OrdinaryMean, exact_end: float, anchor_x: float,
                  log_anchor: float):
         from numpy.polynomial import chebyshev as cheb
 
-        c, self.series = _slope_series(k, exact_end)
+        c, self.series, x, gap = _slope_series(k, exact_end)
         self.side = side = 1 if exact_end > 1.0 else -1  # side of the pivot
         self.anchor_x = anchor_x
-        t_end = abs(math.log(exact_end))
-        t = np.concatenate([np.geomspace(_T_MIN, t_end, _NODES // 2),
-                            np.linspace(_T_MIN, t_end, _NODES - _NODES // 2)])
-        t_anchor = abs(math.log(anchor_x))
-        # keep the anchor as an exact node without near-duplicate neighbors
-        t = t[np.abs(t - t_anchor) > 1e-9 * t_anchor]
-        t = np.unique(np.concatenate([t, [t_anchor]]))
-        x = np.exp(side * t)
-        x[-1] = exact_end  # force the window endpoint exactly
-        i = int(np.argmin(np.abs(x - anchor_x)))
-        x[i] = anchor_x
-        t = np.abs(np.log(x))
+        self.t_end = abs(math.log(exact_end))
         # with t = t_end (1 + u)/2, (h - 2)/t dt = (h - 2)/(1 + u) du
         R = cheb.chebint(cheb.chebdiv(cheb.chebsub(c, 2.0), [1.0, 1.0])[0])
-        u = np.clip(2.0 * t / t_end - 1.0, -1.0, 1.0)
-        h, R = cheb.chebval(u, c), cheb.chebval(u, R)
-        dh = cheb.chebval(u, cheb.chebder(c)) * (2.0 / t_end)
-        logF = 2.0 * (np.log(t) - math.log(t[i])) + (R - R[i]) + log_anchor
-        F = np.exp(logF)
-        gap = side * t * x / h
-        # f = F / gap moves away from f(1) = 0, which keeps the pair across
-        # the pivot, and w = g' F / gap^2 with g' = 1 - gap' is positive
-        if not np.all(side * np.diff(F / gap, prepend=0.0) > 0.0):
+        self._h, self._R = c[::-1].tolist(), R[::-1].tolist()
+        t_anchor = abs(math.log(anchor_x))
+        self._const = log_anchor - 2.0 * math.log(t_anchor) \
+            - _clenshaw(self._R, self._u(t_anchor))
+        F = np.exp([self.log_F(t) for t in np.abs(np.log(x)).tolist()])
+        slope = np.array([k.section_slope(p) for p in x.tolist()])
+        # w = g' F / gap^2 is f', so f = F / gap must move away from f(1) = 0,
+        # which keeps the pair across the pivot, and g' F must be positive
+        if not (np.all(side * np.diff(F / gap, prepend=0.0) > 0.0)
+                and np.all(slope * F > 0.0)):
             raise NotIncreasing(
                 f"constructed primitive for {k.name!r} is not strictly increasing"
             )
-        if not np.all((1.0 - (1.0 + side * t) / h + t * dh / (h * h)) * F > 0.0):
-            raise NotStrictlyInternal(
-                f"constructed density for {k.name!r} is not strictly positive"
-            )
-        self._v = np.log(t).tolist()
-        self._y = logF.tolist()
-        self._dy = h.tolist()
-        self.t_first, self.dy_first = float(t[0]), self._dy[0]
-        self.v_min = self._v[0]
-        self.v_max = self._v[-1]
 
-    def eval_logF(self, t_val: float) -> float:
-        v = math.log(t_val)
-        if v < self.v_min:
-            # inside the first node: continue the line log F follows there
-            return self._y[0] + self.dy_first * (v - self.v_min)
-        if v > self.v_max:
-            if v > self.v_max + 1e-9:
-                raise DomainError("point outside the tabulated window")
-            v = self.v_max
-        i = min(bisect.bisect_right(self._v, v), len(self._v) - 1) - 1
-        h = self._v[i + 1] - self._v[i]
-        s = (v - self._v[i]) / h
-        y0, dy = self._y[i], self._y[i + 1] - self._y[i]
-        d0, d1 = h * self._dy[i], h * self._dy[i + 1]
-        return y0 + s * (d0 + s * (3.0 * dy - 2.0 * d0 - d1
-                                   + s * (d0 + d1 - 2.0 * dy)))
+    def _u(self, t: float) -> float:
+        if t > self.t_end * (1.0 + 1e-9):
+            raise DomainError("point outside the tabulated window")
+        return 2.0 * t / self.t_end - 1.0
+
+    def log_F(self, t: float) -> float:
+        return 2.0 * math.log(t) + _clenshaw(self._R, self._u(t)) + self._const
+
+    def gap(self, t: float, x: float) -> float:
+        """``x - K(1, x)`` from the series, with no cancellation near 1."""
+        return self.side * t * x / _clenshaw(self._h, self._u(t))
 
 
 class ConstructedMeasure:
-    """Tabulated primitives of a measure synthesized from a two-argument mean.
+    """Primitives of a measure synthesized from a two-argument mean.
 
-    ``nodes`` counts the nodes of both branches' tables, which exclude the
-    pivot x = 1; ``F(1) = f(1) = 0`` are analytic limits.  ``F(x0) = 1``
-    exactly at the right-branch anchor, and the left branch's anchor carries
-    the joining factor ``left_scale``.
+    ``nodes`` counts the points both branches' series were fitted on, each
+    including the pivot x = 1, where ``F(1) = f(1) = 0`` are analytic limits.
+    ``F(x0) = 1`` at the right-branch anchor, and the left branch's anchor
+    carries the joining factor ``left_scale``.
     """
 
     def __init__(self, name: str, window: tuple[float, float],
@@ -238,10 +220,10 @@ class ConstructedMeasure:
         self._left = left
         self.left_scale = left_scale
         self.x0 = right.anchor_x if right is not None else left.anchor_x
-        self.nodes = sum(len(b._v) for b in (left, right) if b is not None)
         # each branch's Chebyshev degree and its coefficients past the plateau
         self.series = {name: b.series for name, b in (("left", left),
                        ("right", right)) if b is not None}
+        self.nodes = sum(s["degree"] + 1 for s in self.series.values())
         self.round_trip_max_rel_err = math.nan  # these three are set by build()
         self.round_trip_worst_pair = None
         self.build_seconds = {}
@@ -256,18 +238,15 @@ class ConstructedMeasure:
         return branch
 
     def _gap(self, x: float) -> float:
-        if abs(x - 1.0) < 2.0 * _T_MIN:  # covers |log x| < t_first ~ _T_MIN
-            branch, t = self._branch(x), abs(math.log(x))
-            if t < branch.t_first:
-                # x - K(1, x) loses its digits to rounding here: take it
-                # from the slope log F keeps inside the first node
-                return branch.side * t * x / branch.dy_first
+        if _X_CANCEL_LO < x < _X_CANCEL_HI:
+            # x - K(1, x) loses digits to cancellation here
+            return self._branch(x).gap(abs(math.log(x)), x)
         return x - self.section(x)
 
     def log_F(self, x: float) -> float:
         if x == 1.0:
             return -math.inf  # F(1) = 0 limit
-        return self._branch(x).eval_logF(abs(math.log(x)))
+        return self._branch(x).log_F(abs(math.log(x)))
 
     def F(self, x: float) -> float:
         if x == 1.0:
@@ -286,9 +265,8 @@ class ConstructedMeasure:
 
     def w(self, x: float) -> float:
         if x == 1.0:
-            # density limit at the pivot: evaluate just off it
-            x = math.exp(_T_MIN) if self._right is not None \
-                else math.exp(-_T_MIN)
+            # density limit at the pivot: evaluate one ulp off it
+            x = math.nextafter(1.0, 2.0 if self._right is not None else 0.0)
         F = self.F(x)
         gap = self._gap(x)
         return self.section_slope(x) * F / (gap * gap)
@@ -348,10 +326,12 @@ def _plateau(c: np.ndarray) -> Optional[int]:
     return None
 
 
-def _slope_series(k: OrdinaryMean, exact_end: float) -> tuple[np.ndarray, dict]:
+def _slope_series(k: OrdinaryMean, exact_end: float
+                  ) -> tuple[np.ndarray, dict, np.ndarray, np.ndarray]:
     """Chebyshev series, in ``u = 2 t / t_end - 1``, of the slope of log F in
-    log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side t)``; and its
-    degree and the size of its coefficients past their plateau.
+    log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side t)``; its
+    degree and the size of its coefficients past their plateau; and the
+    points ``x`` it was fitted on past the pivot, with their gaps.
 
     The degree doubles until the coefficients level off; a section that is
     not smooth never gets there and raises :class:`QuadratureError`.
@@ -384,7 +364,8 @@ def _slope_series(k: OrdinaryMean, exact_end: float) -> tuple[np.ndarray, dict]:
         c = np.linalg.solve(cheb.chebvander(2.0 * t / t_end - 1.0, deg), h)
         j = _plateau(c)
         if j is not None:
-            return c, {"degree": deg, "tail": float(np.max(np.abs(c[j:])))}
+            return (c, {"degree": deg, "tail": float(np.max(np.abs(c[j:])))},
+                    x[1:], gap[1:])
         if deg >= _DEG_MAX:
             raise QuadratureError(
                 f"the slope of log F for {k.name!r} has no Chebyshev series of "
@@ -412,12 +393,11 @@ def _left_scale(k: OrdinaryMean, a: float, b: float) -> float:
 
 def build(k: OrdinaryMean, window: tuple[float, float],
           tol: float = 1e-9) -> MeasureSpec:
-    """Tabulate the measure generating ``k`` on ``window``.
+    """Synthesize the measure generating ``k`` on ``window``.
 
     The window must sit inside the mean's domain with positive lower end.
-    Returns a :class:`MeasureSpec` whose primitives interpolate a table of
-    ``_NODES`` nodes on each side of 1 that the window reaches; the
-    underlying :class:`ConstructedMeasure` rides along in its
+    Returns a :class:`MeasureSpec` whose primitives sum a Chebyshev series
+    on each side of 1 that the window reaches; the underlying :class:`ConstructedMeasure` rides along in its
     ``construction`` field, with the worst relative error of the self-check
     against ``k`` on probe pairs in ``round_trip_max_rel_err`` (the pair in
     ``round_trip_worst_pair``) and the seconds of each phase in
@@ -444,7 +424,6 @@ def build(k: OrdinaryMean, window: tuple[float, float],
     if lo < 1.0:
         left = _Branch(k, lo, a, math.log(left_scale))
 
-    tabulated = time.perf_counter()
     cm = ConstructedMeasure(
         name=f"built:{k.name}",
         window=window,
@@ -455,7 +434,7 @@ def build(k: OrdinaryMean, window: tuple[float, float],
         left_scale=left_scale,
     )
     spec = cm.to_spec()
-    tables = time.perf_counter()
+    tabulated = time.perf_counter()
 
     # self-check: the tabulation must reproduce k on probe pairs; adjacent
     # pairs near the window top are the harshest (f may saturate there)
@@ -479,8 +458,8 @@ def build(k: OrdinaryMean, window: tuple[float, float],
                 f"section only pins the mean against 1)"
             )
     cm.round_trip_max_rel_err = worst
-    cm.build_seconds = {"tabulate_join": tabulated - start, "tables": tables - tabulated,
-                        "self_check": time.perf_counter() - tables}
+    cm.build_seconds = {"tabulate_join": tabulated - start,
+                        "self_check": time.perf_counter() - tabulated}
     return spec
 
 

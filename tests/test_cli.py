@@ -155,7 +155,7 @@ def test_construct_reports_the_library_build(capsys):
     payload = json.loads(out)
     cm = build(ordinary_mean("harmonic"), (0.25, 64.0)).construction
     assert payload["round_trip_max_rel_err"] == cm.round_trip_max_rel_err
-    assert payload["grid_points"] == cm.nodes == 16382
+    assert payload["grid_points"] == cm.nodes == 66
 
 
 def test_sweep_out_file_matches_stdout(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_self_check_error_is_recorded(built):
         want = ordinary_mean(name)(a, b)
         assert abs(reconstruct(spec, a, b) - want) / abs(want) == \
             cm.round_trip_max_rel_err
-        assert set(cm.build_seconds) == {"tabulate_join", "tables", "self_check"}
+        assert set(cm.build_seconds) == {"tabulate_join", "self_check"}
         assert all(0.0 < t < 10.0 for t in cm.build_seconds.values())
         assert set(cm.series) == {"left", "right"}
         for series in cm.series.values():
@@ -117,6 +117,14 @@ def test_wide_window_builds():
     # which numpy's series arithmetic trims away
     spec = build(ordinary_mean("geometric"), (1e-6, 1e6))
     assert spec.construction.series["left"]["degree"] == 64
+    assert spec.construction.round_trip_max_rel_err <= 1e-9
+    # h falls to about 5e-11 at the left end, so the series holds the gap
+    # x - K(1, x) to absolute accuracy only; the checks take it from K
+    spec = build(ordinary_mean("arithmetic"), (1e-12, 1e12))
+    assert spec.construction.round_trip_max_rel_err <= 1e-5
+    # without g', the finite difference must not step below 0
+    geometric = OrdinaryMean("geometric", ordinary_mean("geometric").func)
+    spec = build(geometric, (1e-7, 10.0))
     assert spec.construction.round_trip_max_rel_err <= 1e-9
 
 
@@ -220,8 +228,7 @@ def test_left_scale_is_exact(built):
 
 
 def test_reconstruct_one_ulp_from_pivot(built):
-    # pairs ending in the hole inside each branch's first node, where
-    # x - K(1, x) rounds to nothing
+    # pairs ending one ulp from the pivot, where x - K(1, x) rounds to nothing
     above, below = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
     for name in ("arithmetic", "geometric", "harmonic", "logarithmic"):
         k = ordinary_mean(name)
@@ -230,6 +237,16 @@ def test_reconstruct_one_ulp_from_pivot(built):
                            (wide, 0.5, 1.0000000000000009), (wide, below, 2.0)]:
             assert reconstruct(spec, a, b) == pytest.approx(
                 k(a, b), rel=1e-15), (name, a, b)
+
+
+def test_f_near_pivot(built):
+    # f = 2 (1 - 1/x^2) s for the built harmonic measure, with the joining
+    # factor s below 1, written so that nothing cancels
+    cm = built["harmonic"].construction
+    for d in (1e-8, 1e-6, 1e-4):
+        for x, s in ((1.0 + d, 1.0), (1.0 - d, cm.left_scale)):
+            want = 2.0 * s * (x - 1.0) * (x + 1.0) / (x * x)
+            assert abs(cm.f(x) - want) <= 1e-13 * abs(want), x
 
 
 def test_branch_density_limits_agree(built):
@@ -488,6 +505,15 @@ def test_table_checks_reject_a_falling_section():
     for window in [(2.0, 50.0), (0.02, 0.5), (0.25, 64.0)]:
         with pytest.raises(NotIncreasing):
             build(wavy, window)
+
+
+def test_density_check_rejects_a_falling_slope():
+    # K is arithmetic, but the g' it reports turns negative above 10, where
+    # the density w = g' F / gap^2 would be too
+    liar = OrdinaryMean("liar", ordinary_mean("arithmetic").func,
+                        section_deriv=lambda x: -0.5 if x > 10 else 0.5)
+    with pytest.raises(NotIncreasing):
+        build(liar, WINDOW)
 
 
 def test_missing_primitives_and_probes_are_typed_errors():
