@@ -116,8 +116,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(","))
     except ValueError:
         raise InvalidInterval(f"window must be LO,HI, got {text!r}") from None
-    if not (lo < hi):
-        raise InvalidInterval(f"window needs lo < hi, got {text!r}")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInterval(f"window needs finite lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
     if args.cases < 1:
         raise InvalidInterval(f"--cases must be at least 1, got {args.cases!r}")
     names = None
-    if args.suites:
+    if args.suites is not None:
         names = [s.strip() for s in args.suites.split(",") if s.strip()]
     results = run_suites(names, cases=args.cases, seed=args.seed)
     lines = []

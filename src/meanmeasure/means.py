@@ -238,6 +238,8 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
                               f"got {n_probe!r} and {n_random!r}")
     import numpy as np
 
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise InvalidInterval(f"seed must be non-negative, got {rng!r}")
     rng = np.random.default_rng(rng)
     lo, hi = window
     box = normalize([(lo, hi)])

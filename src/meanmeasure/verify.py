@@ -5,8 +5,12 @@ checks one structural claim: internality, strict internality, monotonicity
 under disjoint unions, the weighted decomposition identity, continuity along
 descending chains, and continuity in the symmetric-difference pseudo-metric
 on a bounded window (including the classic counterexample on an unbounded
-one).  The command-line ``verify`` subcommand and the acceptance tests both
-run these.
+one, which the ``dmu-continuity`` suite checks last).  ``run_suites`` is the
+one harness and the one entry point: it checks the suite names, seeds the
+generator of the suite at position ``i`` with ``seed + 101 i``, makes the
+``SuiteResult`` and hands both to the suite's body in ``ALL_SUITES``, which
+only draws and records.  The command-line ``verify`` subcommand and the
+acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import EmptySet, UnknownMeasure
+from .errors import EmptySet, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet, normalize
 from .means import (
     avg,
@@ -60,13 +64,6 @@ class SuiteResult:
             self.failures[-1] = "... more failures suppressed"
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """A suite's generator; numpy loads here, so ``cli`` can import this module."""
-    import numpy as np
-
-    return np.random.default_rng(seed)
-
-
 def _pick(rng: np.random.Generator):
     name = _POOL[int(rng.integers(len(_POOL)))]
     return catalog(name), _WINDOWS[name]
@@ -82,35 +79,27 @@ def _disjoint_sample(rng, window, exclude: IntervalSet,
     raise EmptySet("could not sample a disjoint set")
 
 
-def suite_internality(cases: int = 500, seed: int = 0) -> SuiteResult:
-    rng = _rng(seed)
-    out = SuiteResult("internality", cases)
-    for _ in range(cases):
+def _internality(out: SuiteResult, rng, seed: int) -> None:
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         H = random_interval_union(rng, window, max_intervals=4)
         v = mean(spec, H).value
         tol = 1e-12 * (1.0 + abs(H.infimum()) + abs(H.supremum()))
         if not (H.infimum() - tol <= v <= H.supremum() + tol):
             out.record({"measure": spec.name, "set": H, "mean": v})
-    return out
 
 
-def suite_strict_internality(cases: int = 500, seed: int = 1) -> SuiteResult:
-    rng = _rng(seed)
-    out = SuiteResult("strict-strong-internality", cases)
-    for _ in range(cases):
+def _strict_internality(out: SuiteResult, rng, seed: int) -> None:
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         H = random_interval_union(rng, window, max_intervals=4, min_intervals=2)
         v = mean(spec, H).value
         if not (H.infimum() < v < H.supremum()):
             out.record({"measure": spec.name, "set": H, "mean": v})
-    return out
 
 
-def suite_disjoint_monotone(cases: int = 500, seed: int = 2) -> SuiteResult:
-    rng = _rng(seed)
-    out = SuiteResult("disjoint-monotone", cases)
-    for _ in range(cases):
+def _disjoint_monotone(out: SuiteResult, rng, seed: int) -> None:
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         A = random_interval_union(rng, window, max_intervals=3)
         B = _disjoint_sample(rng, window, A)
@@ -118,13 +107,10 @@ def suite_disjoint_monotone(cases: int = 500, seed: int = 2) -> SuiteResult:
         report = monotonicity_probe(spec, A, B, C)
         if not report.disjoint_pass:
             out.record({"measure": spec.name, "values": report.values})
-    return out
 
 
-def suite_union_monotone(cases: int = 500, seed: int = 3) -> SuiteResult:
-    rng = _rng(seed)
-    out = SuiteResult("union-monotone", cases)
-    for _ in range(cases):
+def _union_monotone(out: SuiteResult, rng, seed: int) -> None:
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         lo, hi = window
         third = (hi - lo) / 3.0
@@ -142,13 +128,10 @@ def suite_union_monotone(cases: int = 500, seed: int = 3) -> SuiteResult:
             out.record({"measure": spec.name, "values": report.values,
                         "vacuous": report.union_vacuous,
                         "strict": report.strict_pass})
-    return out
 
 
-def suite_decomposition(cases: int = 500, seed: int = 4) -> SuiteResult:
-    rng = _rng(seed)
-    out = SuiteResult("weighted-decomposition", cases)
-    for _ in range(cases):
+def _decomposition(out: SuiteResult, rng, seed: int) -> None:
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         k = int(rng.integers(2, 5))
         H = random_interval_union(rng, window, max_intervals=2 * k, min_intervals=k)
@@ -160,13 +143,10 @@ def suite_decomposition(cases: int = 500, seed: int = 4) -> SuiteResult:
         bound = 1e-9 * (1.0 + abs(mean(spec, H).value))
         if residual > bound:
             out.record({"measure": spec.name, "residual": residual, "set": H})
-    return out
 
 
-def suite_cantor(cases: int = 500, seed: int = 5) -> SuiteResult:
-    rng = _rng(seed)
-    out = SuiteResult("cantor-continuity", cases)
-    for _ in range(cases):
+def _cantor(out: SuiteResult, rng, seed: int) -> None:
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         lo, hi = window
         span = hi - lo
@@ -184,22 +164,19 @@ def suite_cantor(cases: int = 500, seed: int = 5) -> SuiteResult:
                 ok = False
         if not ok:
             out.record({"measure": spec.name, "gaps": gaps[:4] + gaps[-2:]})
-    return out
 
 
-def suite_dmu_continuity(cases: int = 500, seed: int = 6) -> SuiteResult:
+def _dmu_continuity(out: SuiteResult, rng, seed: int) -> None:
     """Shrinking the symmetric difference shrinks the mean gap, monotonically.
 
     On a bounded window the mean is Lipschitz in the pseudo-metric once the
     perturbation is smaller than half the base mass:
     ``|delta mean| <= 5 max|x| d / mu(base)``.  The suite checks that linear
-    bound together with monotone decay of both the metric and the gap; the
-    unbounded-window counterexample is reproduced separately.
+    bound together with monotone decay of both the metric and the gap, then
+    that the centroid still jumps on the unbounded-window counterexample.
     """
-    rng = _rng(seed)
-    out = SuiteResult("dmu-continuity", cases)
     depth = 18  # halvings of the bump
-    for _ in range(cases):
+    for _ in range(out.cases):
         spec, window = _pick(rng)
         lo, hi = window
         span = hi - lo
@@ -237,7 +214,9 @@ def suite_dmu_continuity(cases: int = 500, seed: int = 6) -> SuiteResult:
             out.record({"measure": spec.name,
                         "deltas": deltas[:3] + deltas[-2:],
                         "metrics": metrics[:3] + metrics[-2:]})
-    return out
+    probe = counterexample_unbounded_window()
+    if not probe["jumped"]:
+        out.record({"counterexample": probe})
 
 
 def counterexample_unbounded_window(delta: float = 0.01) -> dict:
@@ -257,12 +236,10 @@ def counterexample_unbounded_window(delta: float = 0.01) -> dict:
     }
 
 
-def suite_am_gm(cases: int = 1000, seed: int = 7) -> SuiteResult:
-    rng = _rng(seed)
+def _am_gm(out: SuiteResult, rng, seed: int) -> None:
     window = (0.1, 100.0)
-    out = SuiteResult("am-gm", cases)
     geo = catalog("geometric")
-    for _ in range(cases):
+    for _ in range(out.cases):
         H = random_interval_union(rng, window, max_intervals=5)
         g = mean(geo, H).value
         a = avg(H)
@@ -271,38 +248,47 @@ def suite_am_gm(cases: int = 1000, seed: int = 7) -> SuiteResult:
     cert = certify_leq(geo, catalog("lebesgue"), window, rng=seed)
     if not cert.certified:
         out.record({"certificate": cert.status, "witness": cert.witness})
-    return out
 
 
+# each body draws from ``rng`` and records into ``out``; ``seed`` is the one
+# ``rng`` was made from, for a check that wants a generator of its own
 ALL_SUITES = {
-    "internality": suite_internality,
-    "strict-strong-internality": suite_strict_internality,
-    "disjoint-monotone": suite_disjoint_monotone,
-    "union-monotone": suite_union_monotone,
-    "weighted-decomposition": suite_decomposition,
-    "cantor-continuity": suite_cantor,
-    "dmu-continuity": suite_dmu_continuity,
-    "am-gm": suite_am_gm,
+    "internality": _internality,
+    "strict-strong-internality": _strict_internality,
+    "disjoint-monotone": _disjoint_monotone,
+    "union-monotone": _union_monotone,
+    "weighted-decomposition": _decomposition,
+    "cantor-continuity": _cantor,
+    "dmu-continuity": _dmu_continuity,
+    "am-gm": _am_gm,
 }
 
 
 def run_suites(names=None, cases: int = 500, seed: int = 0) -> list[SuiteResult]:
-    """Run the named suites (all by default) with per-suite derived seeds."""
+    """Run the named suites (all by default), each on its own generator.
+
+    The suite at position ``i`` of ``names`` draws from a generator seeded
+    with ``seed + 101 i``, so one suite run alone reproduces its part of a
+    larger run when given that seed.
+    """
     chosen = list(ALL_SUITES) if names is None else list(names)
+    if not chosen:
+        raise UnknownMeasure(f"no suite named; choose from {', '.join(ALL_SUITES)}")
     for name in chosen:
         if name not in ALL_SUITES:
             raise UnknownMeasure(
                 f"unknown suite {name!r}; choose from {', '.join(ALL_SUITES)}"
             )
+    if cases < 1:
+        raise InvalidInterval(f"cases must be at least 1, got {cases!r}")
+    if seed < 0:
+        raise InvalidInterval(f"seed must be non-negative, got {seed!r}")
+    import numpy as np
+
     results = []
     for i, name in enumerate(chosen):
-        fn = ALL_SUITES[name]
-        results.append(fn(cases=cases, seed=seed + 101 * i))
-    # the unbounded-window counterexample belongs with dmu-continuity
-    if any(r.name == "dmu-continuity" for r in results):
-        probe = counterexample_unbounded_window()
-        if not probe["jumped"]:
-            for r in results:
-                if r.name == "dmu-continuity":
-                    r.record({"counterexample": probe})
+        out = SuiteResult(name, cases)
+        suite_seed = seed + 101 * i
+        ALL_SUITES[name](out, np.random.default_rng(suite_seed), suite_seed)
+        results.append(out)
     return results

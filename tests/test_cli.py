@@ -207,6 +207,21 @@ def test_disjoint_sample_raises_a_typed_error():
         _disjoint_sample(np.random.default_rng(0), window, normalize([window]))
 
 
+@pytest.mark.parametrize("command", [
+    ("verify",),
+    ("compare", "--mu", "geometric", "--nu", "lebesgue", "--window", "0.1,100"),
+])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--seed", "-1")
+    assert code == 2 and out == "" and "seed" in err
+
+
+@pytest.mark.parametrize("suites", [",", ""])
+def test_verify_needs_a_suite(capsys, suites):
+    code, out, err = run(capsys, "verify", f"--suites={suites}")
+    assert code == 2 and out == "" and "no suite" in err
+
+
 def test_verify_rejects_non_positive_cases(capsys):
     for cases in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--cases", cases,
@@ -218,9 +233,11 @@ def test_verify_rejects_non_positive_cases(capsys):
     ("construct", "--mean", "geometric"),
     ("compare", "--mu", "geometric", "--nu", "lebesgue"),
 ])
-@pytest.mark.parametrize("window", ["a,b", "1,x", "0.25,sixty-four"])
+@pytest.mark.parametrize("window", ["a,b", "1,x", "0.25,sixty-four",
+                                    "0.25,inf", "-inf,1"])
 def test_window_typos_are_usage_errors(capsys, command, window):
-    code, out, err = run(capsys, *command, "--window", window)
+    # one token, so argparse takes "-inf,1" as a value, not an option
+    code, out, err = run(capsys, *command, f"--window={window}")
     assert code == 2 and out == ""
     assert err.startswith("error: window")
 
