@@ -342,12 +342,14 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float,
 
     Evaluates the double integral by iterated adaptive quadrature of the
     density (an independent route; no antiderivatives are consulted) and
-    divides by the squared mass of ``[a, b]``.  The mass pass and every inner
-    pass read one :class:`~meanmeasure.quadrature.PanelSums` table over
-    ``[a, b]``: an inner panel at ``y`` is ``(K1 + y K0) / 2`` from the
-    table's Kronrod sums of ``x w`` and ``w``, with the Gauss sums giving its
-    error.  Each inner integral is still refined on its own to its own
-    tolerance; it is not replaced by the single-integral mean.
+    divides by the squared mass of ``[a, b]``.  The mass pass, every inner
+    pass and the outer pass read one
+    :class:`~meanmeasure.quadrature.PanelSums` table over ``[a, b]``: an
+    inner panel at ``y`` is ``(K1 + y K0) / 2`` from the table's Kronrod sums
+    of ``x w`` and ``w``, with the Gauss sums giving its error, and the outer
+    pass takes ``w(y)`` at its nodes from the table.  Each inner integral is
+    still refined on its own to its own tolerance; it is not replaced by the
+    single-integral mean.
     """
     if not (a < b):
         raise InvalidInterval(f"double integral needs a < b, got ({a!r}, {b!r})")
@@ -356,9 +358,8 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float,
     table = PanelSums(spec.density)
     mass = quad(table.mass, a, b, abs_tol=tol * 1e-3, rel_tol=1e-10).value
 
-    def outer_integrand(y: float) -> float:
-        inner = quad(table.inner(y), a, b, abs_tol=tol * 1e-3, rel_tol=1e-10)
-        return inner.value * spec.density(y)
+    def inner(y: float) -> float:
+        return quad(table.inner(y), a, b, abs_tol=tol * 1e-3, rel_tol=1e-10).value
 
-    outer = quad(outer_integrand, a, b, abs_tol=tol * 1e-2, rel_tol=1e-9)
+    outer = quad(table.outer(inner), a, b, abs_tol=tol * 1e-2, rel_tol=1e-9)
     return outer.value / (mass * mass)

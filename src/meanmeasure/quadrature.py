@@ -5,16 +5,19 @@ the difference of the two estimates is used as a (conservative) per-panel
 error bound.  The panel with the worst bound is bisected until the summed
 bound meets the requested tolerance or the panel budget runs out.  The sums
 are kept as running totals, as QUADPACK's QAG does (Piessens et al., 1983),
-and recomputed exactly with ``fsum`` before either exit (a single panel's
-totals are exact already).
+and recomputed exactly with ``fsum`` before either exit.  A first panel that
+already meets the tolerance is returned at once: one panel's totals are
+exact, and most passes of a set mean stop there.
 
 Passes over one density on one interval bisect it the same way, so they meet
 the same panels.  A :class:`PanelSums` table evaluates the density once at
-each panel's nodes and keeps the Kronrod and Gauss sums of ``w`` and of
-``x w`` there; ``quad`` takes one of its passes (``mass``, ``moment`` or
-``inner(y)``) in place of an integrand and reads each panel from the table.
-Every pass still keeps its own partition, error estimate, stopping rule and
-panel budget: only the density evaluations behind the panels are shared.
+each panel's nodes, and each row holds the Kronrod sum and the
+Kronrod-minus-Gauss difference of ``w``, and of ``x w`` once a pass has
+asked for them, so a pass reads a panel with one lookup.  ``quad`` takes one
+of its passes (``mass``, ``moment``, ``inner(y)`` or ``outer(g)``) in place
+of an integrand and reads each panel from the table.  Every pass still keeps
+its own partition, error estimate, stopping rule and panel budget: only the
+density evaluations behind the panels are shared.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInterval, QuadratureError
 
@@ -57,8 +60,7 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
@@ -111,63 +113,91 @@ class _Pass:
         self.panel = panel  # (lo, hi) -> (value, error, evaluations made)
 
 
-def _pair(rows, density, power, lo, hi):
-    """``(K, K - G)`` of ``x**power w`` on ``[lo, hi]`` from the table's
-    ``rows``, and the density evaluations made."""
-    row = rows.get((lo, hi))
-    made = 0
-    if row is None:
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs = [center + half * t for t in _T]
-        row = rows[(lo, hi)] = [xs, list(map(density, xs)), half, None, None]
-        made = 15
-    pair = row[3 + power]
-    if pair is None:
-        vals = row[1] if power == 0 else list(map(operator.mul, row[0], row[1]))
-        pair = row[3 + power] = _sums(vals, row[2], lo, hi)
-    return pair, made
+def _new_row(density, lo, hi):
+    """A table row for ``[lo, hi]``: nodes, ``w`` there, half width, the
+    ``(K, K - G)`` sums of ``w``, and a slot for those of ``x w``."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    xs = [center + half * t for t in _T]
+    ws = list(map(density, xs))
+    return [xs, ws, half, _sums(ws, half, lo, hi), None]
 
 
-def _table_panel(rows, density, power, lo, hi):
-    (kron, diff), made = _pair(rows, density, power, lo, hi)
-    return kron, abs(diff), made
+def _moment_sums(row, lo, hi):
+    """Form, keep and return the ``(K, K - G)`` sums of ``x w`` of a row."""
+    pair = row[4] = _sums(list(map(operator.mul, row[0], row[1])),
+                          row[2], lo, hi)
+    return pair
 
 
 class PanelSums:
     """A density's Kronrod and Gauss panel sums, shared by several passes.
 
     The density ``w`` is evaluated once at a panel's 15 nodes, whichever pass
-    reaches the panel first.  The sums of ``w`` and of ``x w`` are formed and
-    checked only when a pass asks for them, so a mass-only pass never forms
-    ``x w``.  A table lives for one computation: it keeps every panel met.
+    reaches the panel first, and that pass counts the 15 evaluations.  The
+    sums of ``w`` are formed with the row; those of ``x w`` only when a pass
+    asks for them, so a mass-only pass never forms ``x w``.  Each pass reads
+    a panel with one lookup.  A table lives for one computation: it keeps
+    every panel met.
     """
 
     def __init__(self, density):
-        # (lo, hi) -> [nodes, density there, half width, (K, K - G) of w,
-        # (K, K - G) of x w], each pair formed when first asked for
+        # (lo, hi) -> [nodes, w there, half width, (K, K - G) of w,
+        # (K, K - G) of x w or None]
         self._rows = rows = {}
         self._density = density
-        self._both = {}  # (lo, hi) -> both pairs, for the inner passes
-        # passes integrating w and x w (formed as x * w(x) at each node); they
-        # hold the rows, not the table, so no reference cycle outlives a call
-        self.mass = _Pass(functools.partial(_table_panel, rows, density, 0))
-        self.moment = _Pass(functools.partial(_table_panel, rows, density, 1))
+
+        # the passes hold the rows, not the table, so no reference cycle
+        # outlives a call
+        def mass(lo, hi):
+            row = rows.get((lo, hi))
+            made = 0
+            if row is None:
+                row = rows[lo, hi] = _new_row(density, lo, hi)
+                made = 15
+            kron, diff = row[3]
+            return kron, abs(diff), made
+
+        def moment(lo, hi):
+            row = rows.get((lo, hi))
+            made = 0
+            if row is None:
+                row = rows[lo, hi] = _new_row(density, lo, hi)
+                made = 15
+            kron, diff = row[4] or _moment_sums(row, lo, hi)
+            return kron, abs(diff), made
+
+        self.mass = _Pass(mass)  # integrates w
+        self.moment = _Pass(moment)  # integrates x w, formed as x * w(x)
 
     def inner(self, y: float) -> _Pass:
         """Pass integrating ``(x + y) w(x) / 2``, affine in the table's sums."""
-        rows, density, both = self._rows, self._density, self._both
+        rows, density = self._rows, self._density
 
         def panel(lo, hi):
-            sums = both.get((lo, hi))
+            row = rows.get((lo, hi))
             made = 0
-            if sums is None:
-                (k0, d0), n0 = _pair(rows, density, 0, lo, hi)
-                (k1, d1), n1 = _pair(rows, density, 1, lo, hi)
-                sums = both[(lo, hi)] = (k0, d0, k1, d1)
-                made = n0 + n1
-            k0, d0, k1, d1 = sums
+            if row is None:
+                row = rows[lo, hi] = _new_row(density, lo, hi)
+                made = 15
+            k0, d0 = row[3]
+            k1, d1 = row[4] or _moment_sums(row, lo, hi)
             return 0.5 * (k1 + y * k0), 0.5 * abs(d1 + y * d0), made
+        return _Pass(panel)
+
+    def outer(self, g) -> _Pass:
+        """Pass integrating ``g(y) w(y)``, with ``w`` read from the table."""
+        rows, density = self._rows, self._density
+
+        def panel(lo, hi):
+            row = rows.get((lo, hi))
+            made = 0
+            if row is None:
+                row = rows[lo, hi] = _new_row(density, lo, hi)
+                made = 15
+            kron, diff = _sums([g(y) * w for y, w in zip(row[0], row[1])],
+                               row[2], lo, hi)
+            return kron, abs(diff), made
         return _Pass(panel)
 
 
@@ -179,7 +209,7 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     ``fn`` is a callable or a pass of a :class:`PanelSums` table; the result's
     ``evaluations`` counts the integrand (or density) evaluations made.
     Raises :class:`QuadratureError` carrying the best partial result when the
-    panel budget is exhausted first.
+    panel budget (``max_panels``, at least 1) is exhausted first.
     """
     if not (a < b):
         raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
@@ -188,22 +218,30 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     if not (abs_tol >= 0.0 and rel_tol >= 0.0):
         raise InvalidInterval("quad needs non-negative tolerances, got "
                               f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
+    if not (max_panels >= 1):
+        raise InvalidInterval(f"quad needs a panel budget of at least 1, got "
+                              f"{max_panels!r}")
     panel = fn.panel if isinstance(fn, _Pass) else functools.partial(_panel, fn)
     value, err, evals = panel(a, b)
+    # one panel's totals are exact: most passes stop here
+    if err <= abs_tol or err <= rel_tol * abs(value):
+        return QuadratureResult(value, err, evals)
     pushes = 0  # breaks ties between equal errors in push order
     # heap entries: (-error, push, lo, hi, value, error)
     heap = [(-err, pushes, a, b, value, err)]
     done = []  # panels too narrow to bisect further
+    count = 1  # panels kept, in the heap and in done
     # running totals over all panels, re-summed exactly before either exit
     total_val, total_err = value, err
     while True:
-        spent = len(heap) + len(done) >= max_panels or not heap
-        if spent or total_err <= max(abs_tol, rel_tol * abs(total_val)):
+        spent = count >= max_panels or not heap
+        if (spent or total_err <= abs_tol
+                or total_err <= rel_tol * abs(total_val)):
             kept = heap + done
-            if len(kept) > 1:  # one panel's totals are exact already
-                total_val = math.fsum(p[4] for p in kept)
-                total_err = math.fsum(p[5] for p in kept)
-            if total_err <= max(abs_tol, rel_tol * abs(total_val)):
+            if count > 1:  # one panel's totals are exact already
+                total_val = math.fsum([p[4] for p in kept])
+                total_err = math.fsum([p[5] for p in kept])
+            if total_err <= abs_tol or total_err <= rel_tol * abs(total_val):
                 return QuadratureResult(total_val, total_err, evals)
             if spent:
                 raise QuadratureError(
@@ -219,6 +257,7 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
         v1, e1, n1 = panel(lo, mid)
         v2, e2, n2 = panel(mid, hi)
         evals += n1 + n2
+        count += 1
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, pushes + 1, lo, mid, v1, e1))

@@ -1,11 +1,14 @@
 """Adaptive Gauss-Kronrod integration."""
 
+import dataclasses
 import math
 import time
 
 import pytest
 
-from meanmeasure import InvalidInterval, QuadratureError, quad
+from meanmeasure import (InvalidInterval, QuadratureError, QuadratureResult,
+                         catalog, double_integral_mean, quad)
+from meanmeasure import means
 from meanmeasure.quadrature import PanelSums
 
 
@@ -79,7 +82,46 @@ def test_invalid_input_rejected_before_evaluation(a, b, abs_tol, rel_tol):
     assert calls == []
 
 
-def test_panel_table_passes_share_density_evaluations():
+@pytest.mark.parametrize("max_panels", [0, -5])
+def test_non_positive_panel_budget_rejected_before_evaluation(max_panels):
+    calls = []
+    with pytest.raises(InvalidInterval):
+        quad(lambda x: calls.append(x) or 1.0, 0.0, 1.0, max_panels=max_panels)
+    assert calls == []
+
+
+def test_converged_first_panel_runs_the_panel_once():
+    table = PanelSums(lambda x: x * x)
+    mass = table.mass
+    panels = []
+    panel = mass.panel
+    mass.panel = lambda lo, hi: panels.append((lo, hi)) or panel(lo, hi)
+    r = quad(mass, 1.0, 2.0)
+    assert panels == [(1.0, 2.0)]
+    assert r.evaluations == 15
+    assert abs(r.value - 7.0 / 3.0) <= 1e-15
+
+
+def test_one_panel_budget_missed_raises_with_the_panel():
+    f = lambda x: math.sin(1.0 / x)
+    first = quad(f, 1e-3, 1.0, abs_tol=1e300, rel_tol=0.0)
+    assert first.evaluations == 15
+    assert first.error_estimate > max(1e-10, 1e-9 * abs(first.value))
+    with pytest.raises(QuadratureError) as exc_info:
+        quad(f, 1e-3, 1.0, max_panels=1)
+    assert isinstance(exc_info.value.result, QuadratureResult)
+    assert exc_info.value.result == first
+
+
+def test_result_is_an_immutable_record():
+    r = quad(math.exp, 0.0, 1.0)
+    assert abs(r.value - (math.e - 1.0)) <= 1e-15
+    assert 0.0 <= r.error_estimate <= 1e-10 and r.evaluations == 15
+    with pytest.raises(AttributeError):
+        r.value = 0.0
+
+
+def test_panel_table_passes_share_density_evaluations(monkeypatch):
     calls = []
     table = PanelSums(lambda x: calls.append(x) or math.exp(x))
     mass = quad(table.mass, 0.0, 2.0)
@@ -88,4 +130,22 @@ def test_panel_table_passes_share_density_evaluations():
     assert moment.value == quad(lambda x: x * math.exp(x), 0.0, 2.0).value
     # every density evaluation is counted by exactly one pass
     assert len(calls) == mass.evaluations + moment.evaluations
+    assert len(calls) == len(set(calls))
+
+    # the same over a double integral's mass, inner and outer passes
+    results = []
+
+    def counted_quad(*args, **kwargs):
+        results.append(quad(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(means, "quad", counted_quad)
+    g = catalog("geometric")
+    spec = dataclasses.replace(g, cdf=None, antiderivative=None,
+                               density=lambda x: calls.append(x) or g.density(x))
+    calls.clear()
+    assert double_integral_mean(spec, 0.1002, 5.09) == pytest.approx(
+        0.7141554452638444, abs=1e-7)
+    assert len(results) > 2
+    assert len(calls) == sum(r.evaluations for r in results)
     assert len(calls) == len(set(calls))
