@@ -272,7 +272,7 @@ class ConstructedMeasure:
         return self.section_slope(x) * F / (gap * gap)
 
     def to_spec(self) -> MeasureSpec:
-        return _BuiltMeasure(
+        return MeasureSpec(
             name=self.name,
             domain=self.window,
             density=self.w,
@@ -281,16 +281,6 @@ class ConstructedMeasure:
             density_shape="none",
             construction=self,
         )
-
-
-class _BuiltMeasure(MeasureSpec):
-    """A synthesized measure whose set integrals take ``f`` and ``F`` together."""
-
-    def _f_and_F(self) -> Optional[Callable[[float], tuple[float, float]]]:
-        cm = self.construction
-        if cm is not None and self.cdf == cm.f and self.antiderivative == cm.F:
-            return cm._f_F
-        return None
 
 
 def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:

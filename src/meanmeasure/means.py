@@ -111,6 +111,8 @@ def decompose_check(spec: MeasureSpec, parts: Sequence[IntervalSet]) -> float:
     Returns ``|mean(union) - sum(mu_i * mean_i) / sum(mu_i)|``.
     """
     parts = list(parts)
+    if not parts:
+        raise EmptySet("decompose_check needs at least one part")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not parts[i].is_disjoint_from(parts[j]):
@@ -210,10 +212,16 @@ class LeqCertificate:
 def random_interval_union(rng: np.random.Generator, window: tuple[float, float],
                           max_intervals: int = 5,
                           min_intervals: int = 1) -> IntervalSet:
-    """Random disjoint union of 1..max_intervals intervals inside ``window``."""
+    """Random disjoint union of min_intervals..max_intervals intervals inside
+    the finite ``window``."""
     import numpy as np
 
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidInterval(f"window must be finite with lo < hi, got {window!r}")
+    if not 1 <= min_intervals <= max_intervals:
+        raise InvalidInterval("need 1 <= min_intervals <= max_intervals, got "
+                              f"{min_intervals!r} and {max_intervals!r}")
     while True:
         k = int(rng.integers(min_intervals, max_intervals + 1))
         pts = np.sort(rng.uniform(lo, hi, size=2 * k))

@@ -4,9 +4,11 @@ A :class:`MeasureSpec` bundles a strictly positive density ``w`` with an
 optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 ``f(b) - f(a)``) and an optional second primitive ``F`` with ``F' = f``.
 :meth:`MeasureSpec.integrate` takes a set's mass and first moment in one
-pass: from closed forms when both primitives are present, evaluating each
-once per endpoint, and otherwise from adaptive quadrature of ``w``, whose
-mass and moment passes share one evaluation of ``w`` per node.
+pass from the spec's own fields: from closed forms when both primitives are
+present, evaluating each once per endpoint, and otherwise from adaptive
+quadrature of ``w``, whose mass and moment passes share one evaluation of
+``w`` per node.  While a built measure's primitives are its
+``construction``'s own, one evaluation per endpoint gives both.
 :meth:`MeasureSpec.mu` takes the same pass without the moment.
 
 The catalog holds the measures generating the classical two-argument means
@@ -27,10 +29,6 @@ from .quadrature import PanelSums, quad
 _EPS = 2.0 ** -50  # a couple of ulps, for rounding-error propagation
 _E2 = math.e ** 2
 
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_MAX_PANELS = 10_000
-
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -38,8 +36,9 @@ class MeasureSpec:
 
     ``density_shape`` declares weak monotonicity of the density ("increasing",
     "decreasing", or "none" when unknown); a constant density counts as weakly
-    increasing.  ``construction`` optionally carries the tabulation a measure
-    was synthesized from.
+    increasing.  ``construction`` carries the ``construct.ConstructedMeasure``
+    a built measure came from, and nothing else; set integrals take its fused
+    ``(f, F)`` while ``cdf`` and ``antiderivative`` are its own.
     """
 
     name: str
@@ -90,20 +89,19 @@ class MeasureSpec:
         self.require_domain(H)
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
-        fF = self._f_and_F()
+        cm = self.construction
+        # one log F and one gap per endpoint give a construction's own f and F
+        fF = cm._f_F if cm is not None and f == cm.f and F == cm.F else None
         # one panel table for the set: the passes of an interval share it
         table = PanelSums(self.density) if f is None or F is None else None
         try:
             for lo, hi in H:
                 if table is not None:
-                    r = quad(table.mass, lo, hi,
-                             DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_PANELS)
+                    r = quad(table.mass, lo, hi)
                     mass += r.value
                     mass_err += r.error_estimate
                     if with_moment:
-                        m = quad(table.moment, lo, hi,
-                                 DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
-                                 DEFAULT_MAX_PANELS)
+                        m = quad(table.moment, lo, hi)
                         moment += m.value
                         # plus the rounding quad misses where x w(x) cancels
                         moment_err += (m.error_estimate
@@ -128,40 +126,46 @@ class MeasureSpec:
                               "overflows double precision on this set")
         return mass, mass_err, moment, moment_err
 
-    def _f_and_F(self) -> Optional[Callable[[float], tuple[float, float]]]:
-        """``x -> (f(x), F(x))`` where one evaluation gives both, else None."""
-        return None
-
     def scaled(self, c: float) -> "MeasureSpec":
         """The same measure multiplied by a positive constant.
 
         The factor multiplies set masses and moments after the primitive
         differences are taken, and ``means.mean`` reports the base measure's
-        value and error bound unchanged.
+        value and error bound unchanged.  The density and primitives derive
+        from the base and the factor and cannot be replaced; to drop the
+        primitives, replace them on the base, then scale.
         """
         if not (c > 0.0 and math.isfinite(c)):
             raise DomainError(f"scale must be a positive finite number, got {c!r}")
-        base = self.base if isinstance(self, _ScaledMeasure) else self
-        factor = c * (self.factor if isinstance(self, _ScaledMeasure) else 1.0)
-        w, f, F = base.density, base.cdf, base.antiderivative
+        base, factor = ((self.base, self.factor)
+                        if isinstance(self, _ScaledMeasure) else (self, 1.0))
         return _ScaledMeasure(
             name=f"{self.name}*{c:g}",
             domain=self.domain,
-            density=lambda x, _w=w: factor * _w(x),
-            cdf=None if f is None else (lambda x, _f=f: factor * _f(x)),
-            antiderivative=None if F is None else (lambda x, _F=F: factor * _F(x)),
             density_shape=self.density_shape,
             base=base,
-            factor=factor,
+            factor=c * factor,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class _ScaledMeasure(MeasureSpec):
-    """A measure times a constant; evaluation delegates to the base measure."""
+    """A measure times a constant: its callables derive from ``base`` and
+    ``factor``, and evaluation delegates to the base measure."""
 
-    base: Optional[MeasureSpec] = None
-    factor: float = 1.0
+    density: Callable[[float], float] = field(init=False)
+    cdf: Optional[Callable[[float], float]] = field(init=False)
+    antiderivative: Optional[Callable[[float], float]] = field(init=False)
+    base: MeasureSpec
+    factor: float
+
+    def __post_init__(self) -> None:
+        c, w = self.factor, self.base.density
+        f, F = self.base.cdf, self.base.antiderivative
+        object.__setattr__(self, "density", lambda x: c * w(x))
+        object.__setattr__(self, "cdf", None if f is None else lambda x: c * f(x))
+        object.__setattr__(self, "antiderivative",
+                           None if F is None else lambda x: c * F(x))
 
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
@@ -179,6 +183,8 @@ def consistency_errors(spec: MeasureSpec, window: tuple[float, float],
     a, b = window
     if not (a < b):
         raise InvalidInterval(f"window must satisfy lo < hi, got {window!r}")
+    if n < 1:
+        raise InvalidInterval(f"need at least one probe point, got n={n!r}")
     xs = [a + (b - a) * (i + 0.5) / n for i in range(n)]
     err_Ff = 0.0
     err_fw = 0.0
@@ -221,6 +227,8 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
     a, b = interval
     if not (a < b):
         raise InvalidInterval(f"interval must satisfy lo < hi, got {interval!r}")
+    if n_probe < 2:
+        raise InvalidInterval(f"need at least two probe points, got {n_probe!r}")
     xs = [a + (b - a) * i / (n_probe - 1) for i in range(n_probe)]
     ratios = []
     for x in xs:

@@ -276,9 +276,13 @@ def test_reconstruct_is_scale_invariant(built):
 
 
 def test_built_mean_evaluates_log_F_twice_per_interval(built):
-    # one log F and one gap x - K(1, x) per endpoint gives both f and F
-    cm = built["harmonic"].construction
-    calls = {"log_F": 0, "K": 0}
+    # one log F and one gap x - K(1, x) per endpoint gives both f and F, in
+    # any MeasureSpec whose primitives are its construction's own
+    spec = built["harmonic"]
+    assert type(spec) is MeasureSpec
+    by_hand = MeasureSpec(**{f.name: getattr(spec, f.name)
+                             for f in dataclasses.fields(MeasureSpec)})
+    cm = spec.construction
 
     def counted(name, fn):
         def wrapper(x):
@@ -290,22 +294,23 @@ def test_built_mean_evaluates_log_F_twice_per_interval(built):
     cm.log_F = counted("log_F", cm.log_F)
     cm.section = counted("K", section)
     try:
-        mean(built["harmonic"], normalize([(2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]))
+        for s in (spec, by_hand):
+            calls = {"log_F": 0, "K": 0}
+            mean(s, normalize([(2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]))
+            assert calls == {"log_F": 2 * 3, "K": 2 * 3}
     finally:
         del cm.log_F
         cm.section = section
-    assert calls == {"log_F": 2 * 3, "K": 2 * 3}
 
 
 def test_built_mean_is_bit_identical_to_primitive_calls():
-    # the same fields in a plain MeasureSpec call cdf and antiderivative apart
+    # without its construction the same spec calls cdf and antiderivative apart
     rng = np.random.default_rng(47)
     for name, window in itertools.product(
             ["arithmetic", "geometric", "harmonic", "logarithmic"],
             [WINDOW, (2.0, 50.0), (0.01, 0.9)]):
         spec = build(ordinary_mean(name), window)
-        plain = MeasureSpec(**{f.name: getattr(spec, f.name)
-                               for f in dataclasses.fields(MeasureSpec)})
+        plain = dataclasses.replace(spec, construction=None)
         lo, hi = window
         for _ in range(100):
             H = random_interval_union(rng, (lo + 1e-3 * (hi - lo),

@@ -142,6 +142,11 @@ def test_decompose_examples():
                         [normalize([(0, 2)]), normalize([(1, 3)])])
 
 
+def test_decompose_check_needs_a_part():
+    with pytest.raises(EmptySet):
+        decompose_check(catalog("lebesgue"), [])
+
+
 def test_cantor_probe_geometric_chain():
     # oracle: mean of [1, b] under the geometric measure is sqrt(b), so the
     # gaps are sqrt(2 + 1/i) - sqrt(2)
@@ -364,3 +369,42 @@ def test_ordered_interval_family_inequality():
         rhs = 0.5 * (sum(b * b - a * a for a, b in pairs)
                      / sum(b - a for a, b in pairs))
         assert lhs <= rhs + 1e-9
+
+
+class _CountingRng:
+    """A generator that counts its draws and stops a draw loop after 100."""
+
+    def __init__(self):
+        self.draws = 0
+        self._rng = np.random.default_rng(0)
+
+    def _draw(self):
+        self.draws += 1
+        if self.draws > 100:
+            raise AssertionError("random_interval_union keeps drawing")
+
+    def integers(self, *args, **kwargs):
+        self._draw()
+        return self._rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self._draw()
+        return self._rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("window, min_intervals, max_intervals", [
+    ((1.0, 1.0), 1, 5),
+    ((4.0, 1.0), 1, 5),
+    ((0.0, math.inf), 1, 5),
+    ((math.nan, 1.0), 1, 5),
+    ((0.0, 1.0), 0, 0),
+    ((0.0, 1.0), -1, 2),
+    ((0.0, 1.0), 3, 2),
+])
+def test_random_interval_union_rejects_bad_input_before_drawing(
+        window, min_intervals, max_intervals):
+    rng = _CountingRng()
+    with pytest.raises(InvalidInterval):
+        random_interval_union(rng, window, max_intervals=max_intervals,
+                              min_intervals=min_intervals)
+    assert rng.draws == 0

@@ -176,15 +176,13 @@ def test_shared_panels_match_two_quad_passes(name):
     # what its own quad pass over a plain integrand gives, bit for bit
     spec = dataclasses.replace(catalog(name), cdf=None, antiderivative=None)
     w = spec.density
-    tols = (measures.DEFAULT_ABS_TOL, measures.DEFAULT_REL_TOL,
-            measures.DEFAULT_MAX_PANELS)
     rng = np.random.default_rng(3)
     for _ in range(50):
         H = random_interval_union(rng, ERR_WINDOWS.get(name, (0.1, 100.0)), 8)
         mass = mass_err = moment = moment_err = 0.0
         for lo, hi in H:
-            r = quad(w, lo, hi, *tols)
-            m = quad(lambda x: x * w(x), lo, hi, *tols)
+            r = quad(w, lo, hi)
+            m = quad(lambda x: x * w(x), lo, hi)
             mass += r.value
             mass_err += r.error_estimate
             moment += m.value
@@ -309,6 +307,38 @@ def test_scaled_measure():
     assert g3.first_moment(H) == pytest.approx(3.0 * g.first_moment(H), rel=1e-15)
     with pytest.raises(DomainError):
         g.scaled(-1.0)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_scaled_measure_derives_its_callables(name):
+    spec = catalog(name)
+    H = random_interval_union(np.random.default_rng(5),
+                              ERR_WINDOWS.get(name, (0.1, 100.0)), 4)
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec.scaled(3.0), cdf=None, antiderivative=None)
+    replaced = dataclasses.replace(spec.scaled(3.0), factor=2.0)
+    twice = spec.scaled(2.0)
+    assert mean(replaced, H) == mean(twice, H)
+    x = H.supremum()
+    assert (replaced.density(x), replaced.cdf(x), replaced.antiderivative(x)) == \
+        (twice.density(x), twice.cdf(x), twice.antiderivative(x))
+    # to drop the primitives, replace them on the base, then scale
+    bare = dataclasses.replace(spec, cdf=None, antiderivative=None)
+    got, want = mean(bare.scaled(3.0), H), mean(bare, H)
+    assert (got.value, got.err) == (want.value, want.err)
+
+
+@pytest.mark.parametrize("n_probe", [0, 1])
+def test_ratio_needs_two_probe_points(n_probe):
+    g, leb = catalog("geometric"), catalog("lebesgue")
+    for numer, denom in [(g, leb), (leb, g)]:
+        with pytest.raises(InvalidInterval):
+            density_ratio_increasing(numer, denom, (0.1, 100.0), n_probe=n_probe)
+
+
+def test_consistency_errors_need_a_probe_point():
+    with pytest.raises(InvalidInterval):
+        consistency_errors(catalog("geometric"), (1.0, 4.0), n=0)
 
 
 # -- density-ratio certificates ------------------------------------------------
