@@ -56,7 +56,7 @@ from .measures import (
     density_ratio_increasing,
 )
 from .quadrature import QuadratureResult, quad
-from .setparse import parse_interval_set, parse_set
+from .setparse import parse_set
 
 __version__ = "0.1.0"
 
@@ -126,7 +126,6 @@ __all__ = [
     "normalize",
     "ordinary",
     "ordinary_mean",
-    "parse_interval_set",
     "parse_set",
     "pseudo_metric",
     "quad",

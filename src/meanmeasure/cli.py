@@ -24,7 +24,7 @@ from .errors import InvalidInterval, MeanMeasureError, ParseError, UnknownMeasur
 from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
 from .measures import CATALOG_NAMES, catalog
-from .setparse import evaluate, parse_set
+from .setparse import parse_set
 from .verify import ALL_SUITES, run_suites
 
 _USAGE_ERRORS = (ParseError, InvalidInterval, UnknownMeasure)
@@ -126,7 +126,7 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 def cmd_mean(args) -> int:
     spec = catalog(args.measure)
-    H = evaluate(parse_set(args.set))
+    H = parse_set(args.set)
     report = mean(spec, H)
     payload = {
         "value": report.value,
@@ -145,9 +145,7 @@ def cmd_construct(args) -> int:
 
     k = ordinary_mean(args.mean)
     window = _parse_window(args.window)
-    if not (args.tol > 0.0):
-        raise InvalidInterval(f"--tol must be positive, got {args.tol!r}")
-    spec = build(k, window, tol=args.tol)
+    spec = build(k, window)
     cm = spec.construction
     lo, hi = window
     probes = np.exp(np.linspace(math.log(lo), math.log(hi), 12))[1:-1]
@@ -186,7 +184,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = catalog(args.measure)
-    H = evaluate(parse_set(args.set))
+    H = parse_set(args.set)
     try:
         shifts = [float(s) for s in args.shifts.split(",") if s.strip()]
     except ValueError:
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", required=True,
                    help="arithmetic | geometric | harmonic | logarithmic | power:p")
     p.add_argument("--window", default="0.25,64")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 

@@ -381,8 +381,7 @@ def _left_scale(k: OrdinaryMean, a: float, b: float) -> float:
     return scale
 
 
-def build(k: OrdinaryMean, window: tuple[float, float],
-          tol: float = 1e-9) -> MeasureSpec:
+def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
     """Synthesize the measure generating ``k`` on ``window``.
 
     The window must sit inside the mean's domain with positive lower end.
@@ -392,7 +391,7 @@ def build(k: OrdinaryMean, window: tuple[float, float],
     against ``k`` on probe pairs in ``round_trip_max_rel_err`` (the pair in
     ``round_trip_worst_pair``) and the seconds of each phase in
     ``build_seconds``.  Raises :class:`QuadratureError` when that check misses
-    ``max(tol, 1e-6 |k|)``.
+    ``max(1e-9, 1e-6 |k|)``.
     """
     start = time.perf_counter()
     lo, hi = window
@@ -441,7 +440,7 @@ def build(k: OrdinaryMean, window: tuple[float, float],
         err = abs(got - want) / abs(want)
         if cm.round_trip_worst_pair is None or err > worst:
             worst, cm.round_trip_worst_pair = err, (a, b)
-        if abs(got - want) > max(tol, 1e-6 * abs(want)):
+        if abs(got - want) > max(1e-9, 1e-6 * abs(want)):
             raise QuadratureError(
                 f"tabulation reproduces K({a:g},{b:g}) as {got!r}, want "
                 f"{want!r}; no measure generates the mean {k.name!r} (its "

@@ -61,23 +61,11 @@ class IntervalSet:
 
     def slice_below(self, y: float) -> "IntervalSet":
         """Intersection with the half-line (-inf, y]."""
-        y = float(y)
-        kept = []
-        for lo, hi in self.intervals:
-            if lo >= y:
-                break
-            kept.append((lo, min(hi, y)))
-        return IntervalSet(tuple(p for p in kept if p[0] < p[1]))
+        return self.intersect(IntervalSet(((-math.inf, _cut(y)),)))
 
     def slice_above(self, y: float) -> "IntervalSet":
         """Intersection with the half-line [y, +inf)."""
-        y = float(y)
-        kept = []
-        for lo, hi in self.intervals:
-            if hi <= y:
-                continue
-            kept.append((max(lo, y), hi))
-        return IntervalSet(tuple(p for p in kept if p[0] < p[1]))
+        return self.intersect(IntervalSet(((_cut(y), math.inf),)))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return normalize(list(self.intervals) + list(other.intervals))
@@ -124,6 +112,13 @@ class IntervalSet:
 
     def is_disjoint_from(self, other: "IntervalSet") -> bool:
         return self.intersect(other).is_empty
+
+
+def _cut(y: float) -> float:
+    y = float(y)
+    if math.isnan(y):
+        raise InvalidInterval("cannot slice at NaN")
+    return y
 
 
 def normalize(raw) -> IntervalSet:

@@ -217,8 +217,10 @@ def random_interval_union(rng: np.random.Generator, window: tuple[float, float],
     import numpy as np
 
     lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidInterval(f"window must be finite with lo < hi, got {window!r}")
+    # a finite width also makes both ends finite
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise InvalidInterval(
+            f"window needs lo < hi and a finite width, got {window!r}")
     if not 1 <= min_intervals <= max_intervals:
         raise InvalidInterval("need 1 <= min_intervals <= max_intervals, got "
                               f"{min_intervals!r} and {max_intervals!r}")
@@ -344,8 +346,10 @@ def infinity_sweep(spec: MeasureSpec, H: IntervalSet,
     return rows
 
 
-def double_integral_mean(spec: MeasureSpec, a: float, b: float,
-                         tol: float = 1e-8) -> float:
+_DIM_TOL = 1e-8  # the double integral's target; its passes take fixed fractions
+
+
+def double_integral_mean(spec: MeasureSpec, a: float, b: float) -> float:
     """Two-argument mean via the symmetric double integral of (x+y)/2.
 
     Evaluates the double integral by iterated adaptive quadrature of the
@@ -364,10 +368,11 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float,
     box = normalize([(a, b)])
     spec.require_domain(box)
     table = PanelSums(spec.density)
-    mass = quad(table.mass, a, b, abs_tol=tol * 1e-3, rel_tol=1e-10).value
+    mass = quad(table.mass, a, b, abs_tol=_DIM_TOL * 1e-3, rel_tol=1e-10).value
 
     def inner(y: float) -> float:
-        return quad(table.inner(y), a, b, abs_tol=tol * 1e-3, rel_tol=1e-10).value
+        return quad(table.inner(y), a, b, abs_tol=_DIM_TOL * 1e-3,
+                    rel_tol=1e-10).value
 
-    outer = quad(table.outer(inner), a, b, abs_tol=tol * 1e-2, rel_tol=1e-9)
+    outer = quad(table.outer(inner), a, b, abs_tol=_DIM_TOL * 1e-2, rel_tol=1e-9)
     return outer.value / (mass * mass)

@@ -131,37 +131,39 @@ class MeasureSpec:
 
         The factor multiplies set masses and moments after the primitive
         differences are taken, and ``means.mean`` reports the base measure's
-        value and error bound unchanged.  The density and primitives derive
-        from the base and the factor and cannot be replaced; to drop the
-        primitives, replace them on the base, then scale.
+        value and error bound unchanged.  The name, domain, density shape,
+        density and primitives derive from the base and the factor and cannot
+        be replaced; to drop the primitives, replace them on the base, then
+        scale.
         """
         if not (c > 0.0 and math.isfinite(c)):
             raise DomainError(f"scale must be a positive finite number, got {c!r}")
         base, factor = ((self.base, self.factor)
                         if isinstance(self, _ScaledMeasure) else (self, 1.0))
-        return _ScaledMeasure(
-            name=f"{self.name}*{c:g}",
-            domain=self.domain,
-            density_shape=self.density_shape,
-            base=base,
-            factor=c * factor,
-        )
+        return _ScaledMeasure(base=base, factor=c * factor)
 
 
 @dataclass(frozen=True, kw_only=True)
 class _ScaledMeasure(MeasureSpec):
-    """A measure times a constant: its callables derive from ``base`` and
-    ``factor``, and evaluation delegates to the base measure."""
+    """A measure times a constant: its name, domain, density shape and
+    callables derive from ``base`` and ``factor``, and evaluation delegates
+    to the base measure."""
 
+    name: str = field(init=False)
+    domain: tuple[float, float] = field(init=False)
     density: Callable[[float], float] = field(init=False)
     cdf: Optional[Callable[[float], float]] = field(init=False)
     antiderivative: Optional[Callable[[float], float]] = field(init=False)
+    density_shape: str = field(init=False)
     base: MeasureSpec
     factor: float
 
     def __post_init__(self) -> None:
-        c, w = self.factor, self.base.density
-        f, F = self.base.cdf, self.base.antiderivative
+        base, c = self.base, self.factor
+        w, f, F = base.density, base.cdf, base.antiderivative
+        object.__setattr__(self, "name", f"{base.name}*{c:g}")
+        object.__setattr__(self, "domain", base.domain)
+        object.__setattr__(self, "density_shape", base.density_shape)
         object.__setattr__(self, "density", lambda x: c * w(x))
         object.__setattr__(self, "cdf", None if f is None else lambda x: c * f(x))
         object.__setattr__(self, "antiderivative",

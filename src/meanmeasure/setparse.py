@@ -8,9 +8,9 @@ Grammar::
               sqrt(), exp(), log(), operators + - * / ^ (right-assoc power)
               and unary minus
 
-Numeric sub-expressions are closed, so they are evaluated during parsing;
-the AST keeps the set structure for printing.  Syntax errors carry the byte
-offset of the offending token.
+Every sub-expression is closed, so the parser evaluates it as it reads it:
+numbers become floats and sets become canonical :class:`IntervalSet` values.
+Syntax errors carry the byte offset of the offending token.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import InvalidInterval, ParseError
 from .intervals import IntervalSet, normalize
@@ -62,53 +61,8 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _g17(x: float) -> str:
-    return format(x, ".17g")
-
-
-@dataclass(frozen=True)
-class IntervalLit:
-    lo: float
-    hi: float
-
-    def to_text(self) -> str:
-        return f"[{_g17(self.lo)}, {_g17(self.hi)}]"
-
-
-@dataclass(frozen=True)
-class ShiftExpr:
-    inner: "SetNode"
-    offset: float
-
-    def to_text(self) -> str:
-        return f"({self.inner.to_text()}) + {_g17(self.offset)}"
-
-
-@dataclass(frozen=True)
-class UnionExpr:
-    parts: tuple["SetNode", ...]
-
-    def to_text(self) -> str:
-        return " U ".join(p.to_text() for p in self.parts)
-
-
-SetNode = Union[IntervalLit, ShiftExpr, UnionExpr]
-
-
-def evaluate(node: SetNode) -> IntervalSet:
-    """Canonical interval set denoted by a parsed expression."""
-    if isinstance(node, IntervalLit):
-        return normalize([(node.lo, node.hi)])
-    if isinstance(node, ShiftExpr):
-        return evaluate(node.inner).translate(node.offset)
-    return normalize(
-        [pair for part in node.parts for pair in evaluate(part).intervals]
-    )
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -129,16 +83,14 @@ class _Parser:
 
     # -- set level ---------------------------------------------------------
 
-    def parse_set(self) -> SetNode:
-        parts = [self.parse_term()]
+    def parse_set(self) -> IntervalSet:
+        pairs = list(self.parse_term())
         while self.peek().kind == "ident" and self.peek().text == "U":
             self.advance()
-            parts.append(self.parse_term())
-        if len(parts) == 1:
-            return parts[0]
-        return UnionExpr(tuple(parts))
+            pairs.extend(self.parse_term())
+        return normalize(pairs)
 
-    def parse_term(self) -> SetNode:
+    def parse_term(self) -> IntervalSet:
         tok = self.peek()
         if tok.text == "[":
             self.advance()
@@ -150,14 +102,13 @@ class _Parser:
                 raise InvalidInterval(
                     f"interval needs lo < hi, got [{lo!r}, {hi!r}]"
                 )
-            return IntervalLit(lo, hi)
+            return normalize([(lo, hi)])
         if tok.text == "(":
             self.advance()
             inner = self.parse_set()
             self.expect(")")
             self.expect("+")
-            offset = self.parse_num()
-            return ShiftExpr(inner, offset)
+            return inner.translate(self.parse_num())
         raise ParseError(f"expected '[' or '(', found {tok.text or 'end of input'!r}",
                          tok.offset)
 
@@ -220,7 +171,7 @@ class _Parser:
                 self.expect(")")
                 try:
                     return _FUNCTIONS[tok.text](arg)
-                except ValueError as exc:
+                except (OverflowError, ValueError) as exc:
                     raise ParseError(f"{tok.text}({arg!r}): {exc}",
                                      close.offset) from None
             raise ParseError(f"unknown name {tok.text!r}", tok.offset)
@@ -233,18 +184,19 @@ class _Parser:
                          tok.offset)
 
 
-def parse_set(text: str) -> SetNode:
-    """Parse a set expression; raises :class:`ParseError` with a byte offset."""
+def parse_set(text: str) -> IntervalSet:
+    """The canonical interval set a set expression denotes.
+
+    Raises :class:`ParseError` with a byte offset for bad syntax, and
+    :class:`InvalidInterval` for a reversed interval or a non-finite endpoint
+    or shift.
+    """
     if not text.strip():
         raise ParseError("empty set expression", 0)
     parser = _Parser(text)
-    node = parser.parse_set()
+    H = parser.parse_set()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"trailing input {trailing.text!r}", trailing.offset)
-    return node
+    return H
 
-
-def parse_interval_set(text: str) -> IntervalSet:
-    """Parse and evaluate a set expression in one step."""
-    return evaluate(parse_set(text))

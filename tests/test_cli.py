@@ -168,12 +168,6 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == direct
 
 
-def test_construct_argument_validation(capsys):
-    code, _, err = run(capsys, "construct", "--mean", "geometric",
-                       "--tol", "-1")
-    assert code == 2 and "--tol" in err
-
-
 def test_construct_rejects_non_generated_mean(capsys):
     code, _, err = run(capsys, "construct", "--mean", "power:3",
                        "--window", "0.25,64")

@@ -53,6 +53,10 @@ def test_slice_examples():
     assert normalize([(0, 3)]).slice_below(1).intervals == ((0.0, 1.0),)
     assert normalize([(0, 1), (2, 3)]).slice_above(2.5).intervals == ((2.5, 3.0),)
     assert normalize([(2, 3)]).slice_below(1).is_empty
+    for cut in (normalize([(0, 1), (2, 3)]).slice_below,
+                normalize([(0, 1), (2, 3)]).slice_above):
+        with pytest.raises(InvalidInterval):
+            cut(math.nan)
 
 
 def test_scalar_queries():

@@ -327,12 +327,6 @@ def test_double_integral_shares_density_evaluations():
     assert calls[0] <= 75
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-8])
-def test_double_integral_rejects_bad_tolerance(tol):
-    with pytest.raises(InvalidInterval):
-        double_integral_mean(catalog("geometric"), 1.0, 4.0, tol=tol)
-
-
 def test_mean_unchanged_by_degenerate_points():
     # degenerate points are dropped by the representation, so the mean is
     # bit-for-bit identical
@@ -400,6 +394,7 @@ class _CountingRng:
     ((0.0, 1.0), 0, 0),
     ((0.0, 1.0), -1, 2),
     ((0.0, 1.0), 3, 2),
+    ((-1e308, 1e308), 1, 5),  # finite ends, but the width overflows
 ])
 def test_random_interval_union_rejects_bad_input_before_drawing(
         window, min_intervals, max_intervals):

@@ -316,9 +316,17 @@ def test_scaled_measure_derives_its_callables(name):
                               ERR_WINDOWS.get(name, (0.1, 100.0)), 4)
     with pytest.raises(ValueError):
         dataclasses.replace(spec.scaled(3.0), cdf=None, antiderivative=None)
+    for derived in ({"name": "x"}, {"domain": (0.0, 1.0)},
+                    {"density_shape": "none"}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(spec.scaled(3.0), **derived)
     replaced = dataclasses.replace(spec.scaled(3.0), factor=2.0)
     twice = spec.scaled(2.0)
     assert mean(replaced, H) == mean(twice, H)
+    assert replaced.name == twice.name == f"{name}*2"
+    assert spec.scaled(3.0).scaled(2.0).name == f"{name}*6"
+    assert (replaced.domain, replaced.density_shape) == \
+        (spec.domain, spec.density_shape)
     x = H.supremum()
     assert (replaced.density(x), replaced.cdf(x), replaced.antiderivative(x)) == \
         (twice.density(x), twice.cdf(x), twice.antiderivative(x))
