@@ -5,13 +5,21 @@ mu(H)`` of finite interval unions against a catalog of measures, certifies
 inequalities between such means, and synthesizes the generating measure of
 any smooth symmetric two-argument mean.
 
-The synthesis names (``build``, ``reconstruct``, ``ConstructedMeasure`` and
-the rest of :mod:`meanmeasure.construct`) load on first use, so importing the
-package loads neither numpy nor the construction module.
+It needs nothing beyond the standard library: the synthesis fits its
+Chebyshev series with its own small kernels, and the random helpers draw
+from ``random.Random``.
 """
 
-import importlib
-
+from .construct import (
+    ConstructedMeasure,
+    OrdinaryMean,
+    UniquenessResult,
+    build,
+    from_section,
+    ordinary_mean,
+    reconstruct,
+    uniqueness_check,
+)
 from .errors import (
     DomainError,
     EmptySet,
@@ -59,27 +67,6 @@ from .quadrature import QuadratureResult, quad
 from .setparse import parse_set
 
 __version__ = "0.1.0"
-
-_CONSTRUCT_NAMES = frozenset({
-    "ConstructedMeasure",
-    "OrdinaryMean",
-    "UniquenessResult",
-    "build",
-    "from_section",
-    "ordinary_mean",
-    "reconstruct",
-    "uniqueness_check",
-})
-
-
-def __getattr__(name):
-    """Import :mod:`meanmeasure.construct` when one of its names is first read."""
-    if name != "construct" and name not in _CONSTRUCT_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    construct = importlib.import_module(".construct", __name__)
-    globals().update((n, getattr(construct, n)) for n in _CONSTRUCT_NAMES)
-    return globals()[name]
-
 
 __all__ = [
     "BoundPair",

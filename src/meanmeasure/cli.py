@@ -20,6 +20,7 @@ import math
 import os
 import sys
 
+from .construct import build, ordinary_mean
 from .errors import InvalidInterval, MeanMeasureError, ParseError, UnknownMeasure
 from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
@@ -52,13 +53,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    # a numpy scalar can only exist once numpy is loaded, so do not load it
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
     return obj
 
 
@@ -139,18 +133,14 @@ def cmd_mean(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    import numpy as np
-
-    from .construct import build, ordinary_mean
-
     k = ordinary_mean(args.mean)
     window = _parse_window(args.window)
     spec = build(k, window)
     cm = spec.construction
     lo, hi = window
-    probes = np.exp(np.linspace(math.log(lo), math.log(hi), 12))[1:-1]
-    density_probes = [{"x": float(x), "w": spec.density(float(x))}
-                      for x in probes[:: max(1, len(probes) // 6)]]
+    step = (math.log(hi) - math.log(lo)) / 11
+    probes = [math.exp(math.log(lo) + i * step) for i in range(1, 11)]
+    density_probes = [{"x": x, "w": spec.density(x)} for x in probes]
     payload = {
         "mean": k.name,
         "window": [lo, hi],

@@ -22,12 +22,12 @@ determined up to a positive factor, so the normalization is harmless.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -50,6 +50,14 @@ _T_CANCEL = 0.5
 _X_CANCEL_LO, _X_CANCEL_HI = math.exp(-_T_CANCEL), math.exp(_T_CANCEL)
 # Chebyshev degrees per branch: the first tried, and the last before giving up
 _DEG_MIN, _DEG_MAX = 32, 512
+# 12-point Gauss-Legendre abscissae on [-1, 1] (positive half, mirrored
+# below) and weights, as the eigenvalue method with one Newton step rounds
+# them, the weights scaled to sum to 2 (so up to 1e-14 off their exact values)
+_GL_X = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+         0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_GL_W = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+         0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
+_GL = tuple((s * x, w) for x, w in zip(_GL_X, _GL_W) for s in (-1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,70 @@ def _clenshaw(rev: list, u: float) -> float:
     return b1 - u * b2
 
 
+def _linspace(a: float, b: float, n: int) -> list:
+    """``n`` evenly spaced points from ``a`` to ``b``, both ends exact."""
+    step = (b - a) / (n - 1)
+    return [a + i * step for i in range(n - 1)] + [b]
+
+
+def _vals2coeffs(v: list) -> list:
+    """Chebyshev coefficients, lowest first, of the polynomial through the
+    values ``v`` at ``u_j = -cos(pi j / n)``: a DCT-I, O(n^2) (chebfun's
+    ``vals2coeffs``; Trefethen, *Approximation Theory and Approximation
+    Practice*, 2013, ch. 3)."""
+    n = len(v) - 1
+    cos = [math.cos(math.pi * i / n) for i in range(2 * n)]
+    v = [0.5 * v[0]] + v[1:-1] + [0.5 * v[-1]]
+    c = [(-2.0 if m % 2 else 2.0) / n
+         * sum(vj * cos[m * j % (2 * n)] for j, vj in enumerate(v))
+         for m in range(n + 1)]
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    return c
+
+
+def _chebvander(u: float, n: int) -> list:
+    """``T_0(u), ..., T_n(u)``."""
+    T = [1.0, u]
+    for _ in range(n - 1):
+        T.append(2.0 * u * T[-1] - T[-2])
+    return T
+
+
+def _solve(A: list, b: list) -> list:
+    """``x`` with ``A x = b``, by Gaussian elimination with partial pivoting."""
+    rows = [row + [bi] for row, bi in zip(A, b)]
+    upper = []  # pivot rows, each from its pivot's column on
+    while rows:
+        top = rows.pop(max(range(len(rows)), key=lambda i: abs(rows[i][0])))
+        upper.append(top)
+        rest = top[1:]
+        reduced = []
+        for row in rows:
+            f = row[0] / top[0]
+            reduced.append([a - f * e for a, e in zip(row[1:], rest)])
+        rows = reduced
+    x = []
+    for row in reversed(upper):
+        x.insert(0, (row[-1] - sum(map(operator.mul, row[1:-1], x))) / row[0])
+    return x
+
+
+def _log_slope_integral(c: list) -> list:
+    """Chebyshev coefficients, lowest first, of ``R`` with ``(1 + u) R' =
+    h - 2`` and ``R_0 = 0``, for the series ``h`` with coefficients ``c`` and
+    ``h(-1) = 2``.
+
+    Dividing by ``1 + u`` and integrating fold into ``R_k = (c_k - 2 c_k+1
+    + 2 c_k+2 - ...) / k`` for ``k >= 1``, each sum exactly rounded: the two
+    steps apart lose digits to cancellation between large quotients.
+    """
+    return [0.0] + [
+        math.fsum([c[k]] + [2.0 * v if i % 2 else -2.0 * v
+                            for i, v in enumerate(c[k + 1:])]) / k
+        for k in range(1, len(c))]
+
+
 class _Branch:
     """One side of the pivot, ending at ``exact_end``.
 
@@ -156,46 +228,48 @@ class _Branch:
     + const``, where ``R`` integrates ``(h - 2) / t`` in coefficient space
     from the series ``h`` of :func:`_slope_series`.  Both series are summed
     directly at any ``t > 0``, down to one ulp from the pivot, and ``const``
-    puts ``log F = log_anchor`` at ``anchor_x``.  Raises
-    :class:`NotIncreasing` unless, at every point the series was fitted on,
-    ``f`` moves away from ``f(1) = 0`` and the density is positive.
+    puts ``log F = 0`` at ``anchor_x``.  Raises :class:`NotIncreasing`
+    unless, at every point the series was fitted on, ``f`` moves away from
+    ``f(1) = 0`` and the density is positive.
     """
 
-    def __init__(self, k: OrdinaryMean, exact_end: float, anchor_x: float,
-                 log_anchor: float):
-        from numpy.polynomial import chebyshev as cheb
-
+    def __init__(self, k: OrdinaryMean, exact_end: float, anchor_x: float):
         c, self.series, x, gap = _slope_series(k, exact_end)
         self.side = side = 1 if exact_end > 1.0 else -1  # side of the pivot
         self.anchor_x = anchor_x
         self.t_end = abs(math.log(exact_end))
         # with t = t_end (1 + u)/2, (h - 2)/t dt = (h - 2)/(1 + u) du
-        R = cheb.chebint(cheb.chebdiv(cheb.chebsub(c, 2.0), [1.0, 1.0])[0])
-        self._h, self._R = c[::-1].tolist(), R[::-1].tolist()
-        t_anchor = abs(math.log(anchor_x))
-        self._const = log_anchor - 2.0 * math.log(t_anchor) \
-            - _clenshaw(self._R, self._u(t_anchor))
-        F = np.exp([self.log_F(t) for t in np.abs(np.log(x)).tolist()])
-        slope = np.array([k.section_slope(p) for p in x.tolist()])
+        R = _log_slope_integral(c)
+        self._h, self._R = c[::-1], R[::-1]
+        v = self._v(abs(math.log(anchor_x)))
+        self._const = -math.fsum((2.0 * math.log(v), _clenshaw(self._R, v - 1.0)))
+        F = [math.exp(self.log_F(abs(math.log(p)))) for p in x]
+        f = [0.0] + [Fp / g for Fp, g in zip(F, gap)]
         # w = g' F / gap^2 is f', so f = F / gap must move away from f(1) = 0,
         # which keeps the pair across the pivot, and g' F must be positive
-        if not (np.all(side * np.diff(F / gap, prepend=0.0) > 0.0)
-                and np.all(slope * F > 0.0)):
+        if not (all(side * (f1 - f0) > 0.0 for f0, f1 in zip(f, f[1:]))
+                and all(k.section_slope(p) * Fp > 0.0 for p, Fp in zip(x, F))):
             raise NotIncreasing(
                 f"constructed primitive for {k.name!r} is not strictly increasing"
             )
 
-    def _u(self, t: float) -> float:
+    def _v(self, t: float) -> float:
+        """``1 + u``, rounded once; ``u = v - 1`` is then exact from 1/2 up."""
         if t > self.t_end * (1.0 + 1e-9):
             raise DomainError("point outside the tabulated window")
-        return 2.0 * t / self.t_end - 1.0
+        return 2.0 * t / self.t_end
 
     def log_F(self, t: float) -> float:
-        return 2.0 * math.log(t) + _clenshaw(self._R, self._u(t)) + self._const
+        # log F = 2 log v + R(v - 1) + const, 2 log(t_end / 2) being in const:
+        # both terms read the same rounded v, so a relative error d in v moves
+        # their sum by h d only, and the three terms are added with one rounding
+        v = self._v(t)
+        return math.fsum((2.0 * math.log(v), _clenshaw(self._R, v - 1.0),
+                          self._const))
 
     def gap(self, t: float, x: float) -> float:
         """``x - K(1, x)`` from the series, with no cancellation near 1."""
-        return self.side * t * x / _clenshaw(self._h, self._u(t))
+        return self.side * t * x / _clenshaw(self._h, self._v(t) - 1.0)
 
 
 class ConstructedMeasure:
@@ -203,8 +277,9 @@ class ConstructedMeasure:
 
     ``nodes`` counts the points both branches' series were fitted on, each
     including the pivot x = 1, where ``F(1) = f(1) = 0`` are analytic limits.
-    ``F(x0) = 1`` at the right-branch anchor, and the left branch's anchor
-    carries the joining factor ``left_scale``.
+    ``F(x0) = 1`` at the right-branch anchor.  Below 1, ``F`` is the joining
+    factor ``left_scale`` times the exponential of the left branch's series,
+    so ``F = left_scale`` at that branch's anchor.
     """
 
     def __init__(self, name: str, window: tuple[float, float],
@@ -244,6 +319,7 @@ class ConstructedMeasure:
         return x - self.section(x)
 
     def log_F(self, x: float) -> float:
+        """``log F(x)``, less ``log(left_scale)`` below 1: one branch's series."""
         if x == 1.0:
             return -math.inf  # F(1) = 0 limit
         return self._branch(x).log_F(abs(math.log(x)))
@@ -251,13 +327,13 @@ class ConstructedMeasure:
     def F(self, x: float) -> float:
         if x == 1.0:
             return 0.0
-        return math.exp(self.log_F(x))
+        return (self.left_scale if x < 1.0 else 1.0) * math.exp(self.log_F(x))
 
     def _f_F(self, x: float) -> tuple[float, float]:
         """``(f(x), F(x))`` from one ``log F`` and one gap."""
         if x == 1.0:
             return 0.0, 0.0
-        F = math.exp(self.log_F(x))
+        F = (self.left_scale if x < 1.0 else 1.0) * math.exp(self.log_F(x))
         return F / self._gap(x), F
 
     def f(self, x: float) -> float:
@@ -286,27 +362,27 @@ class ConstructedMeasure:
 def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:
     """Symmetry and strict-internality probes on pairs across the window."""
     lo, hi = window
-    pts = np.exp(np.linspace(math.log(lo), math.log(hi), 9))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            a, b = float(pts[i]), float(pts[j])
-            kab, kba = k(a, b), k(b, a)
-            if abs(kab - kba) > 1e-12 * (1.0 + abs(kab)):
-                raise NotSymmetric(
-                    f"mean {k.name!r} is not symmetric at ({a!r}, {b!r})"
-                )
-            if not (a < kab < b):
-                raise NotStrictlyInternal(
-                    f"mean {k.name!r} not strictly internal at ({a!r}, {b!r})"
-                )
+    pts = [math.exp(v) for v in _linspace(math.log(lo), math.log(hi), 9)]
+    for a, b in itertools.combinations(pts, 2):
+        kab, kba = k(a, b), k(b, a)
+        if abs(kab - kba) > 1e-12 * (1.0 + abs(kab)):
+            raise NotSymmetric(
+                f"mean {k.name!r} is not symmetric at ({a!r}, {b!r})"
+            )
+        if not (a < kab < b):
+            raise NotStrictlyInternal(
+                f"mean {k.name!r} not strictly internal at ({a!r}, {b!r})"
+            )
 
 
-def _plateau(c: np.ndarray) -> Optional[int]:
+def _plateau(c: list) -> Optional[int]:
     """Where the Chebyshev coefficients ``c`` level off at their noise floor,
     or None while they still fall: the plateau test of ``standardChop``
     (Aurentz & Trefethen, ACM TOMS 43(4), 2017) at tolerance 2^-52.
     """
-    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1] / np.max(np.abs(c))
+    size = [abs(v) for v in c]
+    top = max(size)
+    env = [e / top for e in itertools.accumulate(reversed(size), max)][::-1]
     for j in range(1, len(c)):
         j2 = int(1.25 * j + 5.75)  # the paper's round(1.25 j + 5), from 1
         if j2 >= len(c):
@@ -316,46 +392,47 @@ def _plateau(c: np.ndarray) -> Optional[int]:
     return None
 
 
+def _gap_by_slope(k: OrdinaryMean, x: float) -> float:
+    """``x - K(1, x)`` as the integral of ``1 - g'`` from 1 to ``x``, by the
+    12-point Gauss-Legendre rule, where the difference itself cancels."""
+    r = 0.5 * (x - 1.0)
+    return r * math.fsum(w * (1.0 - k.section_deriv(1.0 + r * (1.0 + g)))
+                         for g, w in _GL)
+
+
 def _slope_series(k: OrdinaryMean, exact_end: float
-                  ) -> tuple[np.ndarray, dict, np.ndarray, np.ndarray]:
-    """Chebyshev series, in ``u = 2 t / t_end - 1``, of the slope of log F in
-    log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side t)``; its
-    degree and the size of its coefficients past their plateau; and the
-    points ``x`` it was fitted on past the pivot, with their gaps.
+                  ) -> tuple[list, dict, list, list]:
+    """Chebyshev series, lowest first in ``u = 2 t / t_end - 1``, of the slope
+    of log F in log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side
+    t)``; its degree and the size of its coefficients past their plateau;
+    and the points ``x`` it was fitted on past the pivot, with their gaps.
 
-    The degree doubles until the coefficients level off; a section that is
-    not smooth never gets there and raises :class:`QuadratureError`.
+    The degree doubles until the coefficients of the values' DCT level off;
+    a section that is not smooth never gets there and raises
+    :class:`QuadratureError`.  Only then are the coefficients solved for at
+    the points as rounded, which are Chebyshev points up to that rounding.
     """
-    from numpy.polynomial import chebyshev as cheb, legendre
-
     side = 1 if exact_end > 1.0 else -1
     t_end = abs(math.log(exact_end))
-    gl_x, gl_w = legendre.leggauss(12)
+    t_near = _T_CANCEL if k.section_deriv is not None else 0.0
     deg = _DEG_MIN
     while True:
-        x = np.exp(side * t_end * 0.5 * (1.0 - np.cos(np.pi * np.arange(deg + 1) / deg)))
-        x[-1] = exact_end
-        t = np.abs(np.log(x))  # from the rounded x, so t and x - 1 agree
-        near = t < (_T_CANCEL if k.section_deriv is not None else 0.0)
-        gap = x - np.array([0.0 if n else k.section(p)
-                            for p, n in zip(x.tolist(), near.tolist())])
-        if near.any():
-            # x - K(1, x) cancels here: integrate 1 - g' from 1 to x instead
-            r = 0.5 * (x[near] - 1.0)
-            s = 1.0 + r[:, None] * (1.0 + gl_x)
-            slope = np.array([k.section_deriv(p) for p in s.ravel().tolist()])
-            gap[near] = r * ((1.0 - slope.reshape(s.shape)) @ gl_w)
-        bad = x[1:][side * gap[1:] <= 0.0].tolist()
+        x = [math.exp(side * t_end * 0.5 * (1.0 - math.cos(math.pi * j / deg)))
+             for j in range(1, deg)] + [exact_end]
+        t = [abs(math.log(p)) for p in x]  # from the rounded x, so t and x - 1 agree
+        gap = [_gap_by_slope(k, p) if tp < t_near else p - k.section(p)
+               for p, tp in zip(x, t)]
+        bad = [p for p, g in zip(x, gap) if side * g <= 0.0]
         if bad:
             raise NotStrictlyInternal(f"K(1, {bad[0]!r}) leaves the open "
                                       f"interval between 1 and {bad[0]!r}")
         # h = 2 at the pivot, where g' = 1/2 for any symmetric mean
-        h = np.concatenate([[2.0], side * t[1:] * x[1:] / gap[1:]])
-        c = np.linalg.solve(cheb.chebvander(2.0 * t / t_end - 1.0, deg), h)
-        j = _plateau(c)
+        h = [2.0] + [side * tp * p / g for tp, p, g in zip(t, x, gap)]
+        j = _plateau(_vals2coeffs(h))
         if j is not None:
-            return (c, {"degree": deg, "tail": float(np.max(np.abs(c[j:])))},
-                    x[1:], gap[1:])
+            c = _solve([_chebvander(2.0 * tp / t_end - 1.0, deg)
+                        for tp in [0.0] + t], h)
+            return c, {"degree": deg, "tail": max(map(abs, c[j:]))}, x, gap
         if deg >= _DEG_MAX:
             raise QuadratureError(
                 f"the slope of log F for {k.name!r} has no Chebyshev series of "
@@ -409,9 +486,9 @@ def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
     left_scale = _left_scale(k, a, b) if lo < 1.0 < hi else 1.0
     right = left = None
     if hi > 1.0:
-        right = _Branch(k, hi, b, 0.0)
+        right = _Branch(k, hi, b)
     if lo < 1.0:
-        left = _Branch(k, lo, a, math.log(left_scale))
+        left = _Branch(k, lo, a)
 
     cm = ConstructedMeasure(
         name=f"built:{k.name}",
@@ -427,12 +504,9 @@ def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
 
     # self-check: the tabulation must reproduce k on probe pairs; adjacent
     # pairs near the window top are the harshest (f may saturate there)
-    spread = np.exp(np.linspace(math.log(lo), math.log(hi), 8))[1:-1]
-    ladder = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 12)
-    pairs = [(float(spread[i]), float(spread[j]))
-             for i in range(len(spread)) for j in range(i + 1, len(spread))]
-    pairs += [(float(ladder[i]), float(ladder[i + 1]))
-              for i in range(len(ladder) - 1)]
+    spread = [math.exp(v) for v in _linspace(math.log(lo), math.log(hi), 8)[1:-1]]
+    ladder = _linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 12)
+    pairs = list(itertools.combinations(spread, 2)) + list(zip(ladder, ladder[1:]))
     worst = 0.0
     for a, b in pairs:
         got = reconstruct(spec, a, b)

@@ -12,8 +12,10 @@ form of the two-argument mean.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNested
 from .intervals import IntervalSet, normalize
@@ -25,9 +27,6 @@ from .measures import (
     density_ratio_increasing,
 )
 from .quadrature import PanelSums, quad
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -209,13 +208,11 @@ class LeqCertificate:
         return self.status == "certified"
 
 
-def random_interval_union(rng: np.random.Generator, window: tuple[float, float],
+def random_interval_union(rng: random.Random, window: tuple[float, float],
                           max_intervals: int = 5,
                           min_intervals: int = 1) -> IntervalSet:
     """Random disjoint union of min_intervals..max_intervals intervals inside
     the finite ``window``."""
-    import numpy as np
-
     lo, hi = window
     # a finite width also makes both ends finite
     if not (lo < hi and math.isfinite(hi - lo)):
@@ -225,8 +222,8 @@ def random_interval_union(rng: np.random.Generator, window: tuple[float, float],
         raise InvalidInterval("need 1 <= min_intervals <= max_intervals, got "
                               f"{min_intervals!r} and {max_intervals!r}")
     while True:
-        k = int(rng.integers(min_intervals, max_intervals + 1))
-        pts = np.sort(rng.uniform(lo, hi, size=2 * k))
+        k = rng.randint(min_intervals, max_intervals)
+        pts = sorted(rng.uniform(lo, hi) for _ in range(2 * k))
         H = normalize([(pts[2 * i], pts[2 * i + 1]) for i in range(k)])
         if not H.is_empty:
             return H
@@ -241,23 +238,24 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
     subintervals and (b) the density ratio nu/mu nondecreasing; the verdict
     is then validated on random interval unions.  Any violation beyond 1e-9
     refutes with a witness; a clean run with an inconclusive ratio check
-    stays inconclusive.
+    stays inconclusive.  ``rng`` is a ``random.Random``, a non-negative
+    integer seed, or None for a fresh seed.
     """
     if n_probe < 0 or n_random < 0:
         raise InvalidInterval("n_probe and n_random must be non-negative, "
                               f"got {n_probe!r} and {n_random!r}")
-    import numpy as np
-
-    if isinstance(rng, (int, np.integer)) and rng < 0:
-        raise InvalidInterval(f"seed must be non-negative, got {rng!r}")
-    rng = np.random.default_rng(rng)
+    if not isinstance(rng, random.Random):
+        seed = None if rng is None else operator.index(rng)
+        if seed is not None and seed < 0:
+            raise InvalidInterval(f"seed must be non-negative, got {rng!r}")
+        rng = random.Random(seed)
     lo, hi = window
     box = normalize([(lo, hi)])
     mu_spec.require_domain(box)
     nu_spec.require_domain(box)
 
     for _ in range(n_probe):
-        a, b = np.sort(rng.uniform(lo, hi, size=2))
+        a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
         if b - a < 1e-9 * (hi - lo):
             continue
         k_mu = ordinary(mu_spec, a, b)
@@ -265,7 +263,7 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
         if k_mu > k_nu + 1e-9:
             return LeqCertificate(
                 "refuted",
-                witness={"interval": (float(a), float(b)),
+                witness={"interval": (a, b),
                          "mean_mu": k_mu, "mean_nu": k_nu},
             )
 
@@ -313,12 +311,11 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
         return BoundPair(m=spec.density(hi), M=spec.density(lo), exact=True)
     if spec.density_shape == "increasing":
         return BoundPair(m=spec.density(lo), M=spec.density(hi), exact=True)
-    import numpy as np
-
     m_est = math.inf
     M_est = -math.inf
     for k in range(7):
-        edges = np.linspace(lo, hi, 2 ** k + 1)
+        step = (hi - lo) / 2 ** k
+        edges = [lo + j * step for j in range(2 ** k)] + [hi]
         for j in range(len(edges) - 1):
             piece = normalize([(edges[j], edges[j + 1])])
             r = spec.mu(piece) / piece.lebesgue()

@@ -148,10 +148,14 @@ class _Parser:
             tok = self.advance()
             exponent = self.parse_unary()  # right-associative
             try:
-                return float(base ** exponent)
-            except (OverflowError, ValueError) as exc:
+                value = base ** exponent
+            except (OverflowError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"cannot raise {base!r} to {exponent!r}: {exc}",
                                  tok.offset) from None
+            if isinstance(value, complex):  # a negative base to a fractional power
+                raise ParseError(f"cannot raise {base!r} to {exponent!r}: the "
+                                 f"power is not real", tok.offset)
+            return value
         return base
 
     def parse_atom(self) -> float:

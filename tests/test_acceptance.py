@@ -5,6 +5,7 @@ check the captured output) and asserts at its stated tolerance.
 """
 
 import math
+import random
 import time
 from contextlib import contextmanager
 
@@ -111,7 +112,7 @@ def test_criterion_4_generalized_am_gm():
     with criterion(4, "geometric set mean never exceeds the centroid; "
                       "certificate holds"):
         start = time.perf_counter()
-        rng = np.random.default_rng(2024)
+        rng = random.Random(2024)
         geo = catalog("geometric")
         for _ in range(1000):
             H = random_interval_union(rng, (0.1, 100.0), max_intervals=5)
@@ -146,7 +147,7 @@ def test_criterion_6_uniqueness_up_to_scale():
             "geometric": (0.25, 64.0), "harmonic": (0.25, 64.0),
             "logarithmic": (0.25, 64.0), "square": (0.25, 64.0),
         }
-        rng = np.random.default_rng(99)
+        rng = random.Random(99)
         for name, window in windows.items():
             spec = catalog(name)
             probes = [random_interval_union(rng, window, max_intervals=3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -109,10 +110,10 @@ def test_avg_examples():
 
 
 def test_avg_translation_covariance():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(100):
         H = random_interval_union(rng, (-40.0, 40.0), max_intervals=4)
-        x = float(rng.uniform(-100, 100))
+        x = rng.uniform(-100, 100)
         assert abs(avg(H.translate(x)) - (avg(H) + x)) <= 1e-12 * (1.0 + abs(x))
 
 
@@ -337,7 +338,7 @@ def test_mean_unchanged_by_degenerate_points():
 
 
 def test_internality_on_random_unions():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for name, window in [("geometric", (0.1, 100.0)), ("lebesgue", (-50.0, 50.0)),
                          ("exponential", (-5.0, 5.0))]:
         spec = catalog(name)
@@ -370,16 +371,16 @@ class _CountingRng:
 
     def __init__(self):
         self.draws = 0
-        self._rng = np.random.default_rng(0)
+        self._rng = random.Random(0)
 
     def _draw(self):
         self.draws += 1
         if self.draws > 100:
             raise AssertionError("random_interval_union keeps drawing")
 
-    def integers(self, *args, **kwargs):
+    def randint(self, *args, **kwargs):
         self._draw()
-        return self._rng.integers(*args, **kwargs)
+        return self._rng.randint(*args, **kwargs)
 
     def uniform(self, *args, **kwargs):
         self._draw()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_quadrature_err_bounds_the_error(name):
          "exponential": mp.exp, "logarithmic": lambda x: x * mp.log(x) - x,
          "geometric": lambda x: (mp.sqrt(x) - 1) ** 2 / mp.e ** 2,
          "harmonic": lambda x: x - 2 + 1 / x}[name]
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     ratios = []
     with mp.workdps(40):
         for _ in range(1000):
@@ -176,7 +177,7 @@ def test_shared_panels_match_two_quad_passes(name):
     # what its own quad pass over a plain integrand gives, bit for bit
     spec = dataclasses.replace(catalog(name), cdf=None, antiderivative=None)
     w = spec.density
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(50):
         H = random_interval_union(rng, ERR_WINDOWS.get(name, (0.1, 100.0)), 8)
         mass = mass_err = moment = moment_err = 0.0
@@ -312,7 +313,7 @@ def test_scaled_measure():
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_scaled_measure_derives_its_callables(name):
     spec = catalog(name)
-    H = random_interval_union(np.random.default_rng(5),
+    H = random_interval_union(random.Random(5),
                               ERR_WINDOWS.get(name, (0.1, 100.0)), 4)
     with pytest.raises(ValueError):
         dataclasses.replace(spec.scaled(3.0), cdf=None, antiderivative=None)

@@ -1,8 +1,7 @@
 """The package needs no scipy: the demos and the CLI run with it blocked.
 
-Nor do the CLI's closed-form commands need numpy: importing the package and
-the CLI loads neither numpy nor the construction module, and ``mean`` and
-``sweep`` print the same bytes with numpy blocked.
+Nor does it need numpy: importing the package and the CLI loads none, and
+every command prints the same bytes with numpy blocked.
 """
 
 import os
@@ -11,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from meanmeasure.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -58,43 +59,44 @@ def test_cli_import_loads_no_scipy():
     assert p.stdout.strip() == "[]"
 
 
-def test_import_loads_neither_numpy_nor_construct():
+def test_import_loads_no_numpy():
     p = python("import sys, meanmeasure, meanmeasure.cli\n"
-               "print('numpy' in sys.modules, 'meanmeasure.construct' in sys.modules)")
+               "print('numpy' in sys.modules)")
     assert p.returncode == 0, p.stderr
-    assert p.stdout == "False False\n"
+    assert p.stdout == "False\n"
 
 
-def test_construct_names_load_on_first_use():
-    p = python("import sys, meanmeasure\n"
-               "assert 'meanmeasure.construct' not in sys.modules\n"
-               "assert all(getattr(meanmeasure, n) is not None"
-               " for n in meanmeasure.__all__)\n"
-               "from meanmeasure import *\n"
-               "assert build is meanmeasure.build is meanmeasure.construct.build\n"
-               "assert ConstructedMeasure is meanmeasure.construct.ConstructedMeasure\n")
-    assert p.returncode == 0, p.stderr
-
-
-# README's closed-form commands; the sweep writes rows.csv in the run's cwd
+# the benchmark's commands, verify shortened; the sweep writes rows.csv in
+# the run's cwd
 README_COMMANDS = [
     ("mean", "--measure", "geometric", "--set", "[1,4]"),
     ("mean", "--measure", "geometric", "--set", "[1, e^2] U [e^4, e^8]"),
     ("sweep", "--measure", "geometric", "--set", "[1,2]",
      "--shifts", "0,1,10,100", "--out", "rows.csv"),
+    ("construct", "--mean", "harmonic", "--window", "0.25,64"),
+    ("construct", "--mean", "geometric"),
+    ("compare", "--mu", "geometric", "--nu", "lebesgue", "--window", "0.1,100"),
+    ("verify", "--cases", "20"),
 ]
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS,
-                         ids=["mean-interval", "mean-union", "sweep"])
-def test_closed_form_commands_run_without_numpy(argv, tmp_path):
-    outputs = []
-    for blocked in ("numpy", "scipy"):  # nothing loads scipy: a plain run
-        cwd = tmp_path / blocked
-        cwd.mkdir()
-        p = python(BLOCK_AND_RUN, blocked, "meanmeasure.cli", *argv, cwd=cwd)
-        assert p.returncode == 0, p.stderr
-        written = cwd / "rows.csv"
-        outputs.append((p.stdout, written.read_bytes() if written.exists() else None))
-    assert outputs[0] == outputs[1]
-    assert outputs[0] != ("", None)
+                         ids=["mean-interval", "mean-union", "sweep",
+                              "construct-harmonic", "construct-geometric",
+                              "compare", "verify"])
+def test_closed_form_commands_run_without_numpy(argv, tmp_path, monkeypatch,
+                                                capsys):
+    def written(cwd):
+        path = cwd / "rows.csv"
+        return path.read_bytes() if path.exists() else None
+
+    blocked, plain = tmp_path / "numpy-blocked", tmp_path / "plain"
+    blocked.mkdir()
+    plain.mkdir()
+    p = python(BLOCK_AND_RUN, "numpy", "meanmeasure.cli", *argv, cwd=blocked)
+    assert p.returncode == 0, p.stderr
+    monkeypatch.chdir(plain)  # the same command in this process is the reference
+    assert main(list(argv)) == 0
+    got = (p.stdout, written(blocked))
+    assert got == (capsys.readouterr().out, written(plain))
+    assert got != ("", None)

@@ -51,6 +51,8 @@ def test_nested_shifts():
     ("([1,2])", 7),       # a shifted set needs "+ num"
     ("[zzz, 2]", 1),
     ("[1, exp(1000)]", 12),  # overflow reported at the closing parenthesis
+    ("[0^-1, 1]", 2),        # a zero base to a negative power, at the "^"
+    ("[(-8)^(1/3), 1]", 5),  # a complex power, at the "^"
 ])
 def test_syntax_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as err:

@@ -1,9 +1,18 @@
 """The property-suite harness: argument checks, seeding and the counterexample."""
 
+import random
+
 import numpy as np
 import pytest
 
-from meanmeasure import InvalidInterval, UnknownMeasure, catalog, certify_leq
+from meanmeasure import (
+    InvalidInterval,
+    UnknownMeasure,
+    cantor_probe,
+    catalog,
+    certify_leq,
+    normalize,
+)
 from meanmeasure import verify
 from meanmeasure.verify import ALL_SUITES, run_suites
 
@@ -16,7 +25,7 @@ def test_negative_seed_raises_a_typed_error():
         with pytest.raises(InvalidInterval, match="seed"):
             certify_leq(geo, leb, (0.1, 100.0), rng=seed)
     cert = certify_leq(geo, leb, (0.1, 100.0), n_probe=5, n_random=5,
-                       rng=np.random.default_rng(1))
+                       rng=random.Random(1))
     assert cert.certified
 
 
@@ -64,3 +73,18 @@ def test_suite_at_position_i_is_seeded_with_seed_plus_101_i(monkeypatch):
         assert log, name
         parts.extend(log)
     assert parts == whole
+
+
+def test_cantor_continuity_allows_a_heavy_first_bump(monkeypatch):
+    # the first bump of the square measure outweighs the base [0.1, 0.5] by
+    # about 2600 to 1, so 14 halvings leave the last gap above 1% of the
+    # first, and only the mass bound mu(J) / mu(base) tells continuity apart
+    square, base = catalog("square"), normalize([(0.1, 0.5)])
+    monkeypatch.setattr(verify, "_pick", lambda rng: (square, (0.1, 100.0)))
+    monkeypatch.setattr(verify, "random_interval_union", lambda *a, **k: base)
+    (cantor,) = run_suites(["cantor-continuity"], cases=1)
+    assert cantor.passed, cantor.failures
+    c, width = 0.5 + 0.05 * 99.9, 0.2 * 99.9
+    gaps = cantor_probe(square, [base.union(normalize([(c, c + width * 0.5 ** i)]))
+                                 for i in range(15)] + [base])
+    assert gaps[-2] > 1e-2 * gaps[0]
