@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -137,7 +136,9 @@ def ordinary_mean(name: str) -> OrdinaryMean:
         try:
             p = float(name.split(":", 1)[1])
         except ValueError:
-            raise UnknownMeasure(f"bad power mean exponent in {name!r}") from None
+            p = math.nan
+        if not math.isfinite(p):
+            raise UnknownMeasure(f"bad power mean exponent in {name!r}")
         if p == 0.0:
             return ordinary_mean("geometric")
         return _power_mean(p)
@@ -185,25 +186,6 @@ def _chebvander(u: float, n: int) -> list:
     for _ in range(n - 1):
         T.append(2.0 * u * T[-1] - T[-2])
     return T
-
-
-def _solve(A: list, b: list) -> list:
-    """``x`` with ``A x = b``, by Gaussian elimination with partial pivoting."""
-    rows = [row + [bi] for row, bi in zip(A, b)]
-    upper = []  # pivot rows, each from its pivot's column on
-    while rows:
-        top = rows.pop(max(range(len(rows)), key=lambda i: abs(rows[i][0])))
-        upper.append(top)
-        rest = top[1:]
-        reduced = []
-        for row in rows:
-            f = row[0] / top[0]
-            reduced.append([a - f * e for a, e in zip(row[1:], rest)])
-        rows = reduced
-    x = []
-    for row in reversed(upper):
-        x.insert(0, (row[-1] - sum(map(operator.mul, row[1:-1], x))) / row[0])
-    return x
 
 
 def _log_slope_integral(c: list) -> list:
@@ -409,8 +391,10 @@ def _slope_series(k: OrdinaryMean, exact_end: float
 
     The degree doubles until the coefficients of the values' DCT level off;
     a section that is not smooth never gets there and raises
-    :class:`QuadratureError`.  Only then are the coefficients solved for at
-    the points as rounded, which are Chebyshev points up to that rounding.
+    :class:`QuadratureError`.  The points as rounded are Chebyshev points
+    only up to that rounding, so the accepted DCT is then corrected by two
+    steps of iterative refinement: the residual of ``h`` at those points,
+    each exactly rounded, goes through the DCT and is added on.
     """
     side = 1 if exact_end > 1.0 else -1
     t_end = abs(math.log(exact_end))
@@ -428,10 +412,14 @@ def _slope_series(k: OrdinaryMean, exact_end: float
                                       f"interval between 1 and {bad[0]!r}")
         # h = 2 at the pivot, where g' = 1/2 for any symmetric mean
         h = [2.0] + [side * tp * p / g for tp, p, g in zip(t, x, gap)]
-        j = _plateau(_vals2coeffs(h))
+        c = _vals2coeffs(h)
+        j = _plateau(c)
         if j is not None:
-            c = _solve([_chebvander(2.0 * tp / t_end - 1.0, deg)
-                        for tp in [0.0] + t], h)
+            rows = [_chebvander(2.0 * tp / t_end - 1.0, deg) for tp in [0.0] + t]
+            for _ in range(2):
+                r = [math.fsum([hj] + [-T * ck for T, ck in zip(row, c)])
+                     for row, hj in zip(rows, h)]
+                c = [ck + dk for ck, dk in zip(c, _vals2coeffs(r))]
             return c, {"degree": deg, "tail": max(map(abs, c[j:]))}, x, gap
         if deg >= _DEG_MAX:
             raise QuadratureError(

@@ -229,6 +229,18 @@ def random_interval_union(rng: random.Random, window: tuple[float, float],
             return H
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int, or :class:`InvalidInterval` unless it is a
+    non-negative integer."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidInterval(f"seed must be an integer, got {seed!r}") from None
+    if value < 0:
+        raise InvalidInterval(f"seed must be non-negative, got {seed!r}")
+    return value
+
+
 def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
                 window: tuple[float, float], n_probe: int = 200,
                 n_random: int = 500, rng=None) -> LeqCertificate:
@@ -245,10 +257,7 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
         raise InvalidInterval("n_probe and n_random must be non-negative, "
                               f"got {n_probe!r} and {n_random!r}")
     if not isinstance(rng, random.Random):
-        seed = None if rng is None else operator.index(rng)
-        if seed is not None and seed < 0:
-            raise InvalidInterval(f"seed must be non-negative, got {rng!r}")
-        rng = random.Random(seed)
+        rng = random.Random(None if rng is None else _check_seed(rng))
     lo, hi = window
     box = normalize([(lo, hi)])
     mu_spec.require_domain(box)

@@ -15,13 +15,13 @@ acceptance tests both run these.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
 
 from .errors import EmptySet, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet, normalize
 from .means import (
+    _check_seed,
     avg,
     cantor_probe,
     certify_leq,
@@ -284,9 +284,7 @@ def run_suites(names=None, cases: int = 500, seed: int = 0) -> list[SuiteResult]
             )
     if cases < 1:
         raise InvalidInterval(f"cases must be at least 1, got {cases!r}")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidInterval(f"seed must be non-negative, got {seed!r}")
+    seed = _check_seed(seed)
     results = []
     for i, name in enumerate(chosen):
         out = SuiteResult(name, cases)

@@ -33,6 +33,7 @@ from meanmeasure import (
     uniqueness_check,
 )
 from meanmeasure import measures
+from meanmeasure.construct import _chebvander, _slope_series
 
 E = math.e
 WINDOW = (0.25, 64.0)
@@ -58,8 +59,9 @@ def test_ordinary_mean_factory():
                                                                  rel=1e-14)
     with pytest.raises(UnknownMeasure):
         ordinary_mean("median")
-    with pytest.raises(UnknownMeasure):
-        ordinary_mean("power:two")
+    for name in ("power:two", "power:nan", "power:inf", "power:-inf"):
+        with pytest.raises(UnknownMeasure, match="exponent"):
+            ordinary_mean(name)
 
 
 def test_round_trip_against_named_means(built):
@@ -111,6 +113,22 @@ def test_round_trip_no_worse_than_grid():
             err = build(ordinary_mean(name), window).construction \
                 .round_trip_max_rel_err
             assert err <= max(bound, 1e-14), (window, name, err)
+
+
+def test_slope_series_reproduces_h_at_its_nodes():
+    # the fit's contract: at the points as rounded, each residual exactly
+    # rounded over the T_k rows, within one ulp of the largest value
+    for name in ("arithmetic", "geometric", "harmonic", "logarithmic"):
+        k = ordinary_mean(name)
+        for end in (64.0, 0.25, 1000.0, 0.001, 1e12):
+            c, series, x, gap = _slope_series(k, end)
+            side, t_end = (1 if end > 1.0 else -1), abs(math.log(end))
+            t = [abs(math.log(p)) for p in x]
+            h = [2.0] + [side * tp * p / g for tp, p, g in zip(t, x, gap)]
+            r = [math.fsum([hj] + [-T * ck for T, ck in zip(
+                     _chebvander(2.0 * tp / t_end - 1.0, series["degree"]), c)])
+                 for tp, hj in zip([0.0] + t, h)]
+            assert max(map(abs, r)) <= math.ulp(max(map(abs, h))), (name, end)
 
 
 def test_wide_window_builds():

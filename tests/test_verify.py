@@ -18,10 +18,11 @@ from meanmeasure.verify import ALL_SUITES, run_suites
 
 
 def test_negative_seed_raises_a_typed_error():
-    with pytest.raises(InvalidInterval, match="seed"):
-        run_suites(["internality"], cases=1, seed=-1)
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(InvalidInterval, match="seed"):
+            run_suites(["internality"], cases=1, seed=seed)
     geo, leb = catalog("geometric"), catalog("lebesgue")
-    for seed in (-1, np.int64(-1)):
+    for seed in (-1, np.int64(-1), 1.5, "3"):
         with pytest.raises(InvalidInterval, match="seed"):
             certify_leq(geo, leb, (0.1, 100.0), rng=seed)
     cert = certify_leq(geo, leb, (0.1, 100.0), n_probe=5, n_random=5,
