@@ -208,7 +208,8 @@ class _Branch:
 
     In ``t = |log x|`` and ``u = 2 t / t_end - 1``, ``log F = 2 log t + R(u)
     + const``, where ``R`` integrates ``(h - 2) / t`` in coefficient space
-    from the series ``h`` of :func:`_slope_series`.  Both series are summed
+    from the series ``h`` of :func:`_slope_series`.  Both series are cut at
+    the plateau the fit found, to its ``terms`` coefficients, and summed
     directly at any ``t > 0``, down to one ulp from the pivot, and ``const``
     puts ``log F = 0`` at ``anchor_x``.  Raises :class:`NotIncreasing`
     unless, at every point the series was fitted on, ``f`` moves away from
@@ -221,8 +222,11 @@ class _Branch:
         self.anchor_x = anchor_x
         self.t_end = abs(math.log(exact_end))
         # with t = t_end (1 + u)/2, (h - 2)/t dt = (h - 2)/(1 + u) du
+        # R from the whole fit, then both cut at the plateau: past it the
+        # coefficients are rounding noise
         R = _log_slope_integral(c)
-        self._h, self._R = c[::-1], R[::-1]
+        n = self.series["terms"]
+        self._h, self._R = c[n - 1::-1], R[n - 1::-1]
         v = self._v(abs(math.log(anchor_x)))
         self._const = -math.fsum((2.0 * math.log(v), _clenshaw(self._R, v - 1.0)))
         F = [math.exp(self.log_F(abs(math.log(p)))) for p in x]
@@ -257,8 +261,11 @@ class _Branch:
 class ConstructedMeasure:
     """Primitives of a measure synthesized from a two-argument mean.
 
-    ``nodes`` counts the points both branches' series were fitted on, each
-    including the pivot x = 1, where ``F(1) = f(1) = 0`` are analytic limits.
+    ``series`` records for each branch its Chebyshev degree, the ``terms``
+    it sums (its coefficients up to their plateau) and the size of the
+    coefficients past the plateau.  ``nodes`` counts the points both
+    branches' series were fitted on, each including the pivot x = 1, where
+    ``F(1) = f(1) = 0`` are analytic limits.
     ``F(x0) = 1`` at the right-branch anchor.  Below 1, ``F`` is the joining
     factor ``left_scale`` times the exponential of the left branch's series,
     so ``F = left_scale`` at that branch's anchor.
@@ -277,7 +284,6 @@ class ConstructedMeasure:
         self._left = left
         self.left_scale = left_scale
         self.x0 = right.anchor_x if right is not None else left.anchor_x
-        # each branch's Chebyshev degree and its coefficients past the plateau
         self.series = {name: b.series for name, b in (("left", left),
                        ("right", right)) if b is not None}
         self.nodes = sum(s["degree"] + 1 for s in self.series.values())
@@ -386,7 +392,8 @@ def _slope_series(k: OrdinaryMean, exact_end: float
                   ) -> tuple[list, dict, list, list]:
     """Chebyshev series, lowest first in ``u = 2 t / t_end - 1``, of the slope
     of log F in log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side
-    t)``; its degree and the size of its coefficients past their plateau;
+    t)``; its degree, the number of terms up to their plateau and the size
+    of the coefficients past it;
     and the points ``x`` it was fitted on past the pivot, with their gaps.
 
     The degree doubles until the coefficients of the values' DCT level off;
@@ -420,7 +427,8 @@ def _slope_series(k: OrdinaryMean, exact_end: float
                 r = [math.fsum([hj] + [-T * ck for T, ck in zip(row, c)])
                      for row, hj in zip(rows, h)]
                 c = [ck + dk for ck, dk in zip(c, _vals2coeffs(r))]
-            return c, {"degree": deg, "tail": max(map(abs, c[j:]))}, x, gap
+            return c, {"degree": deg, "terms": j + 1,
+                       "tail": max(map(abs, c[j:]))}, x, gap
         if deg >= _DEG_MAX:
             raise QuadratureError(
                 f"the slope of log F for {k.name!r} has no Chebyshev series of "

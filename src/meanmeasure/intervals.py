@@ -125,20 +125,24 @@ def normalize(raw) -> IntervalSet:
     """Canonicalize a sequence of ``(lo, hi)`` pairs into an IntervalSet.
 
     Sorts, drops zero-length intervals, and merges overlapping or touching
-    ones.  Endpoints must be finite and ordered ``lo <= hi``; anything else
-    raises :class:`InvalidInterval`.  Endpoints compare exactly as floats,
-    there is no epsilon merging.
+    ones.  Each item must be a pair of real numbers, finite and ordered
+    ``lo <= hi``; anything else raises :class:`InvalidInterval`.  Endpoints
+    compare exactly as floats, there is no epsilon merging.
     """
     cleaned = []
-    for lo, hi in raw:
-        lo = float(lo)
-        hi = float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInterval(f"non-finite endpoint in ({lo!r}, {hi!r})")
-        if lo > hi:
-            raise InvalidInterval(f"reversed interval ({lo!r}, {hi!r})")
-        if lo < hi:
-            cleaned.append((lo, hi))
+    try:
+        for lo, hi in raw:
+            lo = float(lo)
+            hi = float(hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidInterval(f"non-finite endpoint in ({lo!r}, {hi!r})")
+            if lo > hi:
+                raise InvalidInterval(f"reversed interval ({lo!r}, {hi!r})")
+            if lo < hi:
+                cleaned.append((lo, hi))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInterval(f"expected a pair (lo, hi) of real numbers, "
+                              f"got {_bad_pair(raw)!r}") from None
     cleaned.sort()
     merged: list[Pair] = []
     for lo, hi in cleaned:
@@ -148,6 +152,19 @@ def normalize(raw) -> IntervalSet:
         else:
             merged.append((lo, hi))
     return IntervalSet(tuple(merged))
+
+
+def _bad_pair(raw):
+    """The first item of ``raw`` that is not a pair of real numbers, found
+    again after :func:`normalize`'s loop failed; ``raw`` itself when it is
+    not a list or tuple."""
+    for pair in raw if isinstance(raw, (list, tuple)) else ():
+        try:
+            lo, hi = pair
+            float(lo), float(hi)
+        except (TypeError, ValueError, OverflowError):
+            return pair
+    return raw
 
 
 EMPTY = IntervalSet()

@@ -15,6 +15,7 @@ acceptance tests both run these.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -282,6 +283,10 @@ def run_suites(names=None, cases: int = 500, seed: int = 0) -> list[SuiteResult]
             raise UnknownMeasure(
                 f"unknown suite {name!r}; choose from {', '.join(ALL_SUITES)}"
             )
+    try:
+        cases = operator.index(cases)
+    except TypeError:
+        raise InvalidInterval(f"cases must be an integer, got {cases!r}") from None
     if cases < 1:
         raise InvalidInterval(f"cases must be at least 1, got {cases!r}")
     seed = _check_seed(seed)

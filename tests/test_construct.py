@@ -33,7 +33,13 @@ from meanmeasure import (
     uniqueness_check,
 )
 from meanmeasure import measures
-from meanmeasure.construct import _chebvander, _slope_series
+from meanmeasure.construct import (
+    _chebvander,
+    _clenshaw,
+    _linspace,
+    _log_slope_integral,
+    _slope_series,
+)
 
 E = math.e
 WINDOW = (0.25, 64.0)
@@ -89,6 +95,8 @@ def test_self_check_error_is_recorded(built):
         assert set(cm.series) == {"left", "right"}
         for series in cm.series.values():
             assert series["degree"] == 32 and 0.0 < series["tail"] < 1e-14
+            # 11 to 20 terms sum the series of these four means
+            assert 8 <= series["terms"] <= 24, (name, series)
 
 
 # build()'s round_trip_max_rel_err for arithmetic, geometric, harmonic and
@@ -129,6 +137,53 @@ def test_slope_series_reproduces_h_at_its_nodes():
                      _chebvander(2.0 * tp / t_end - 1.0, series["degree"]), c)])
                  for tp, hj in zip([0.0] + t, h)]
             assert max(map(abs, r)) <= math.ulp(max(map(abs, h))), (name, end)
+
+
+def test_branches_sum_their_series_up_to_the_plateau():
+    # each branch sums fewer terms than it fitted, and what it drops moves
+    # log F by no more than the dropped |R_k| plus the rounding of the sums
+    for name, window in itertools.product(
+            ["arithmetic", "geometric", "harmonic", "logarithmic"],
+            [WINDOW, (0.001, 1000.0), (0.9, 1.005)]):
+        k = ordinary_mean(name)
+        cm = build(k, window).construction
+        for branch, end in ((cm._left, window[0]), (cm._right, window[1])):
+            c, series, _, _ = _slope_series(k, end)
+            n = series["terms"]
+            assert n < series["degree"] + 1, (name, end, series)
+            assert len(branch._h) == len(branch._R) == n
+            R = _log_slope_integral(c)
+            dropped = math.fsum(map(abs, R[n:]))
+            scale = max(map(abs, R))
+            full = R[::-1]
+            for t in _linspace(0.0, branch.t_end, 201)[1:]:
+                v = branch._v(t)
+                want = math.fsum((2.0 * math.log(v), _clenshaw(full, v - 1.0),
+                                  branch._const))
+                assert abs(branch.log_F(t) - want) <= dropped + 4.0 * math.ulp(
+                    max(abs(want), scale)), (name, end, t)
+
+
+def test_F_matches_the_power_families():
+    # the four means are generated by x^p, p = 0, -3/2, -3 and -1, whose
+    # second primitives vanishing with their first at 1 are below
+    mpmath = pytest.importorskip("mpmath")
+    exact = {
+        "arithmetic": lambda x: (x - 1) ** 2 / 2,
+        "geometric": lambda x: 2 * (mpmath.sqrt(x) - 1) ** 2,
+        "harmonic": lambda x: (x - 1) ** 2 / (2 * x),
+        "logarithmic": lambda x: x * mpmath.log(x) - x + 1,
+    }
+    with mpmath.workdps(40):
+        for window in (WINDOW, (0.001, 1000.0)):
+            lo, hi = window
+            xs = [lo * (hi / lo) ** (i / 151) for i in range(1, 151)]
+            for name, F in exact.items():
+                cm = build(ordinary_mean(name), window).construction
+                F2 = cm.F(2.0)
+                for x in xs:
+                    want = F(mpmath.mpf(x)) / F(mpmath.mpf(2))
+                    assert abs(cm.F(x) / F2 - want) <= 4e-15 * want, (name, x)
 
 
 def test_wide_window_builds():

@@ -1,6 +1,7 @@
 """Interval-set algebra: canonical form, set operations, measure identities."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,12 @@ def test_normalize_drops_degenerate_and_absorbs_nested():
     [(float("nan"), 1.0)],
     [(0.0, float("inf"))],
     [(2.0, 1.0)],
+    [("a", 1)],
+    [(1, 2, 3)],
+    [(10 ** 400, 1)],
 ])
 def test_normalize_rejects_bad_endpoints(bad):
-    with pytest.raises(InvalidInterval):
+    with pytest.raises(InvalidInterval, match=re.escape(repr(bad[0]))):
         normalize(bad)
 
 

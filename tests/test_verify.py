@@ -33,7 +33,7 @@ def test_negative_seed_raises_a_typed_error():
 def test_a_run_that_checks_nothing_is_rejected():
     with pytest.raises(UnknownMeasure, match="no suite"):
         run_suites([])
-    for cases in (0, -3):
+    for cases in (0, -3, 2.5, "3"):
         with pytest.raises(InvalidInterval, match="cases"):
             run_suites(["internality"], cases=cases)
 
