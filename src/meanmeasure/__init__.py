@@ -8,18 +8,15 @@ any smooth symmetric two-argument mean.
 It needs nothing beyond the standard library: the synthesis fits its
 Chebyshev series with its own small kernels, and the random helpers draw
 from ``random.Random``.
+
+``import meanmeasure`` loads the interval, measure, quadrature and mean
+modules.  The synthesis names (``build``, ``ordinary_mean`` and the rest of
+``construct``) and ``parse_set`` load their modules on first use, so a
+command that never builds a measure or parses a set never compiles them.
 """
 
-from .construct import (
-    ConstructedMeasure,
-    OrdinaryMean,
-    UniquenessResult,
-    build,
-    from_section,
-    ordinary_mean,
-    reconstruct,
-    uniqueness_check,
-)
+import importlib
+
 from .errors import (
     DomainError,
     EmptySet,
@@ -64,9 +61,27 @@ from .measures import (
     density_ratio_increasing,
 )
 from .quadrature import QuadratureResult, quad
-from .setparse import parse_set
 
 __version__ = "0.1.0"
+
+# public names resolved from their module on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("ConstructedMeasure", "OrdinaryMean", "UniquenessResult",
+                     "build", "from_section", "ordinary_mean", "reconstruct",
+                     "uniqueness_check"), "construct"),
+    "parse_set": "setparse",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BoundPair",

@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 verification failure (witness printed), 2 usage or
 parse error, 3 numeric failure.  Reports go to stdout as JSON (floats with
 17 significant digits) or, for ``sweep``, as CSV; ``--out PATH`` writes the
 same bytes atomically instead.
+
+A module that only some subcommands use is imported when one of them runs:
+the synthesis by ``construct``, the property suites by ``verify``, and the
+set-expression parser by ``mean`` and ``sweep``.
 """
 
 from __future__ import annotations
@@ -20,13 +24,10 @@ import math
 import os
 import sys
 
-from .construct import build, ordinary_mean
 from .errors import InvalidInterval, MeanMeasureError, ParseError, UnknownMeasure
 from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
 from .measures import CATALOG_NAMES, catalog
-from .setparse import parse_set
-from .verify import ALL_SUITES, run_suites
 
 _USAGE_ERRORS = (ParseError, InvalidInterval, UnknownMeasure)
 
@@ -119,6 +120,8 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def cmd_mean(args) -> int:
+    from .setparse import parse_set
+
     spec = catalog(args.measure)
     H = parse_set(args.set)
     report = mean(spec, H)
@@ -133,6 +136,8 @@ def cmd_mean(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import build, ordinary_mean
+
     k = ordinary_mean(args.mean)
     window = _parse_window(args.window)
     spec = build(k, window)
@@ -173,6 +178,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .setparse import parse_set
+
     spec = catalog(args.measure)
     H = parse_set(args.set)
     try:
@@ -191,6 +198,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     if args.cases < 1:
         raise InvalidInterval(f"--cases must be at least 1, got {args.cases!r}")
     names = None
@@ -258,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomized property suites")
     p.add_argument("--suites", default=None,
-                   help=f"comma list from: {', '.join(ALL_SUITES)}")
+                   help="comma list of suite names (default: all); an "
+                        "unknown name is an error that lists them")
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

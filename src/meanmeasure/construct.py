@@ -227,6 +227,8 @@ class _Branch:
         R = _log_slope_integral(c)
         n = self.series["terms"]
         self._h, self._R = c[n - 1::-1], R[n - 1::-1]
+        # |T_k| <= 1, so the cut moves log F by at most the dropped |R_k|
+        self.series["tail"] = math.fsum(map(abs, R[n:]))
         v = self._v(abs(math.log(anchor_x)))
         self._const = -math.fsum((2.0 * math.log(v), _clenshaw(self._R, v - 1.0)))
         F = [math.exp(self.log_F(abs(math.log(p)))) for p in x]
@@ -262,8 +264,9 @@ class ConstructedMeasure:
     """Primitives of a measure synthesized from a two-argument mean.
 
     ``series`` records for each branch its Chebyshev degree, the ``terms``
-    it sums (its coefficients up to their plateau) and the size of the
-    coefficients past the plateau.  ``nodes`` counts the points both
+    it sums (its coefficients up to their plateau) and, as ``tail``, the sum
+    of the ``|R_k|`` the cut drops from the series of ``log F``: a bound on
+    how far the cut moves ``log F``.  ``nodes`` counts the points both
     branches' series were fitted on, each including the pivot x = 1, where
     ``F(1) = f(1) = 0`` are analytic limits.
     ``F(x0) = 1`` at the right-branch anchor.  Below 1, ``F`` is the joining
@@ -392,9 +395,8 @@ def _slope_series(k: OrdinaryMean, exact_end: float
                   ) -> tuple[list, dict, list, list]:
     """Chebyshev series, lowest first in ``u = 2 t / t_end - 1``, of the slope
     of log F in log t, ``h = side t x / (x - K(1, x))`` with ``x = e^(side
-    t)``; its degree, the number of terms up to their plateau and the size
-    of the coefficients past it;
-    and the points ``x`` it was fitted on past the pivot, with their gaps.
+    t)``; its degree and the number of terms up to their plateau; and the
+    points ``x`` it was fitted on past the pivot, with their gaps.
 
     The degree doubles until the coefficients of the values' DCT level off;
     a section that is not smooth never gets there and raises
@@ -427,8 +429,7 @@ def _slope_series(k: OrdinaryMean, exact_end: float
                 r = [math.fsum([hj] + [-T * ck for T, ck in zip(row, c)])
                      for row, hj in zip(rows, h)]
                 c = [ck + dk for ck, dk in zip(c, _vals2coeffs(r))]
-            return c, {"degree": deg, "terms": j + 1,
-                       "tail": max(map(abs, c[j:]))}, x, gap
+            return c, {"degree": deg, "terms": j + 1}, x, gap
         if deg >= _DEG_MAX:
             raise QuadratureError(
                 f"the slope of log F for {k.name!r} has no Chebyshev series of "
@@ -481,10 +482,14 @@ def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
     a = mid if hi < 1.0 else 0.5 if lo < 0.5 else math.exp(0.5 * math.log(lo))
     left_scale = _left_scale(k, a, b) if lo < 1.0 < hi else 1.0
     right = left = None
-    if hi > 1.0:
-        right = _Branch(k, hi, b)
-    if lo < 1.0:
-        left = _Branch(k, lo, a)
+    try:
+        if hi > 1.0:
+            right = _Branch(k, hi, b)
+        if lo < 1.0:
+            left = _Branch(k, lo, a)
+    except OverflowError:
+        raise DomainError(f"F of {k.name!r} overflows double precision on the "
+                          f"window {window!r}") from None
 
     cm = ConstructedMeasure(
         name=f"built:{k.name}",

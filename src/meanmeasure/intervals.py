@@ -68,7 +68,8 @@ class IntervalSet:
         return self.intersect(IntervalSet(((_cut(y), math.inf),)))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return normalize(list(self.intervals) + list(other.intervals))
+        # both are canonical already: their pairs need sorting and merging only
+        return _merged(sorted(self.intervals + other.intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out = []
@@ -144,8 +145,14 @@ def normalize(raw) -> IntervalSet:
         raise InvalidInterval(f"expected a pair (lo, hi) of real numbers, "
                               f"got {_bad_pair(raw)!r}") from None
     cleaned.sort()
+    return _merged(cleaned)
+
+
+def _merged(pairs) -> IntervalSet:
+    """The set of sorted pairs ``lo < hi`` of floats, overlapping or touching
+    ones merged."""
     merged: list[Pair] = []
-    for lo, hi in cleaned:
+    for lo, hi in pairs:
         if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
                 merged[-1] = (merged[-1][0], hi)

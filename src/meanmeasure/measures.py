@@ -52,10 +52,11 @@ class MeasureSpec:
     # -- domain handling --------------------------------------------------
 
     def contains(self, H: IntervalSet) -> bool:
-        if H.is_empty:
+        pairs = H.intervals
+        if not pairs:
             return True
         lo, hi = self.domain
-        return H.infimum() > lo and H.supremum() < hi
+        return pairs[0][0] > lo and pairs[-1][1] < hi
 
     def require_domain(self, H: IntervalSet) -> None:
         if not self.contains(H):
@@ -85,18 +86,18 @@ class MeasureSpec:
 
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
-        # the moment and its error stay 0 unless asked for
+        # the moment and its error stay 0 unless asked for; the path is
+        # chosen once per set: quadrature, a construction's fused (f, F), or
+        # the primitives
         self.require_domain(H)
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
         cm = self.construction
-        # one log F and one gap per endpoint give a construction's own f and F
-        fF = cm._f_F if cm is not None and f == cm.f and F == cm.F else None
-        # one panel table for the set: the passes of an interval share it
-        table = PanelSums(self.density) if f is None or F is None else None
         try:
-            for lo, hi in H:
-                if table is not None:
+            if f is None or F is None:
+                # one panel table for the set: the passes of an interval share it
+                table = PanelSums(self.density)
+                for lo, hi in H.intervals:
                     r = quad(table.mass, lo, hi)
                     mass += r.value
                     mass_err += r.error_estimate
@@ -106,20 +107,30 @@ class MeasureSpec:
                         # plus the rounding quad misses where x w(x) cancels
                         moment_err += (m.error_estimate
                                        + _EPS * max(abs(lo), abs(hi)) * r.value)
-                    continue
-                if fF is not None:
+            elif cm is not None and f == cm.f and F == cm.F:
+                # one log F and one gap per endpoint give the construction's f and F
+                fF = cm._f_F
+                for lo, hi in H.intervals:
                     (flo, Flo), (fhi, Fhi) = fF(lo), fF(hi)
-                else:
+                    mass += fhi - flo
+                    mass_err += _EPS * (abs(fhi) + abs(flo))
+                    if with_moment:
+                        moment += hi * fhi - lo * flo - (Fhi - Flo)
+                        moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
+                                              + abs(Fhi) + abs(Flo))
+            else:
+                for lo, hi in H.intervals:
                     flo, fhi = f(lo), f(hi)
+                    mass += fhi - flo
+                    mass_err += _EPS * (abs(fhi) + abs(flo))
                     if with_moment:
                         Flo, Fhi = F(lo), F(hi)
-                mass += fhi - flo
-                mass_err += _EPS * (abs(fhi) + abs(flo))
-                if with_moment:
-                    moment += hi * fhi - lo * flo - (Fhi - Flo)
-                    moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
-                                          + abs(Fhi) + abs(Flo))
-        except OverflowError:
+                        moment += hi * fhi - lo * flo - (Fhi - Flo)
+                        moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
+                                              + abs(Fhi) + abs(Flo))
+        except (OverflowError, ZeroDivisionError):
+            # a primitive past double range: 1 / (x * x) divides by an
+            # underflowed 0 where it would overflow
             mass = math.inf
         if not (math.isfinite(mass) and math.isfinite(moment)):
             raise DomainError(f"mass or first moment of {self.name!r} "

@@ -99,6 +99,16 @@ def test_numeric_error_exit_three(capsys):
     assert "domain" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ("mean", "--measure", "harmonic", "--set", "[1e-200,1e-100]"),
+    ("construct", "--mean", "arithmetic", "--window", "1e-300,1e300"),
+])
+def test_overflow_is_a_numeric_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure:") and "overflows" in err
+
+
 def test_unknown_measure_is_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["mean", "--measure", "cauchy", "--set", "[1,2]"])

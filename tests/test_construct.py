@@ -141,7 +141,8 @@ def test_slope_series_reproduces_h_at_its_nodes():
 
 def test_branches_sum_their_series_up_to_the_plateau():
     # each branch sums fewer terms than it fitted, and what it drops moves
-    # log F by no more than the dropped |R_k| plus the rounding of the sums
+    # log F by no more than its recorded tail, the dropped |R_k|, plus the
+    # rounding of the sums
     for name, window in itertools.product(
             ["arithmetic", "geometric", "harmonic", "logarithmic"],
             [WINDOW, (0.001, 1000.0), (0.9, 1.005)]):
@@ -153,7 +154,8 @@ def test_branches_sum_their_series_up_to_the_plateau():
             assert n < series["degree"] + 1, (name, end, series)
             assert len(branch._h) == len(branch._R) == n
             R = _log_slope_integral(c)
-            dropped = math.fsum(map(abs, R[n:]))
+            dropped = branch.series["tail"]
+            assert dropped == math.fsum(map(abs, R[n:])), (name, end)
             scale = max(map(abs, R))
             full = R[::-1]
             for t in _linspace(0.0, branch.t_end, 201)[1:]:
@@ -199,6 +201,12 @@ def test_wide_window_builds():
     geometric = OrdinaryMean("geometric", ordinary_mean("geometric").func)
     spec = build(geometric, (1e-7, 10.0))
     assert spec.construction.round_trip_max_rel_err <= 1e-9
+
+
+def test_window_whose_F_overflows_is_a_domain_error():
+    # F grows like x^2 / 2 for arithmetic, past double range at 1e300
+    with pytest.raises(DomainError, match=r"1e\+300"):
+        build(ordinary_mean("arithmetic"), (1e-300, 1e300))
 
 
 def test_build_calls_mean_a_few_hundred_times():

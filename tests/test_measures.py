@@ -292,6 +292,15 @@ def test_float_overflow_is_reported():
         catalog("exponential").mu(normalize([(700.0, 710.0)]))
 
 
+def test_primitive_dividing_by_an_underflow_is_reported():
+    # harmonic's cdf 1 - 1 / (x * x): x * x underflows to 0 here
+    harmonic, H = catalog("harmonic"), normalize([(1e-200, 1e-100)])
+    with pytest.raises(DomainError, match="overflows"):
+        harmonic.mu(H)
+    with pytest.raises(DomainError, match="overflows"):
+        harmonic.integrate(H)
+
+
 def test_reversed_windows_are_invalid_intervals():
     g = catalog("geometric")
     with pytest.raises(InvalidInterval):

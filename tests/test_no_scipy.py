@@ -1,9 +1,12 @@
 """The package needs no scipy: the demos and the CLI run with it blocked.
 
 Nor does it need numpy: importing the package and the CLI loads none, and
-every command prints the same bytes with numpy blocked.
+every command prints the same bytes with numpy blocked.  Importing the
+package loads neither the synthesis nor the set parser nor the property
+suites, and each command loads only the modules it uses.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -64,6 +67,48 @@ def test_import_loads_no_numpy():
                "print('numpy' in sys.modules)")
     assert p.returncode == 0, p.stderr
     assert p.stdout == "False\n"
+
+
+# the package's modules loaded once the script before it has run
+PRINT_LOADED = ("print(sorted(m.split('.')[1] for m in sys.modules"
+                " if m.startswith('meanmeasure.')), file=sys.stderr)\n")
+
+
+def test_import_loads_only_the_core_modules():
+    p = python("import sys, meanmeasure\n" + PRINT_LOADED +
+               "assert all(hasattr(meanmeasure, n) for n in meanmeasure.__all__)\n"
+               "from meanmeasure import build, parse_set\n" + PRINT_LOADED)
+    assert p.returncode == 0, p.stderr
+    before, after = map(ast.literal_eval, p.stderr.splitlines())
+    assert not {"construct", "setparse", "verify"} & set(before), before
+    assert {"construct", "setparse"} <= set(after), after
+
+
+# ``python -m meanmeasure.cli ARGS...``, in a process that lists the modules
+# it loaded when it exits
+RUN_CLI = ("import runpy, sys\n"
+           "sys.argv[0] = 'meanmeasure'\n"
+           "try:\n"
+           "    runpy.run_module('meanmeasure.cli', run_name='__main__',"
+           " alter_sys=True)\n"
+           "finally:\n"
+           "    " + PRINT_LOADED)
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("mean", "--measure", "geometric", "--set", "[1,4]"), {"construct", "verify"}),
+    (("sweep", "--measure", "geometric", "--set", "[1,2]", "--shifts", "0,1"),
+     {"construct", "verify"}),
+    (("compare", "--mu", "geometric", "--nu", "lebesgue", "--window", "0.1,100"),
+     {"construct", "setparse", "verify"}),
+    (("construct", "--mean", "geometric"), {"setparse", "verify"}),
+    (("verify", "--cases", "5"), {"construct", "setparse"}),
+], ids=["mean", "sweep", "compare", "construct", "verify"])
+def test_each_command_loads_only_its_modules(argv, unused):
+    p = python(RUN_CLI, *argv)
+    assert p.returncode == 0 and p.stdout, p.stderr
+    loaded = set(ast.literal_eval(p.stderr.splitlines()[-1]))
+    assert "measures" in loaded and not unused & loaded, loaded
 
 
 # the benchmark's commands, verify shortened; the sweep writes rows.csv in
