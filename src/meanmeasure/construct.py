@@ -22,8 +22,10 @@ determined up to a positive factor, so the normalization is harmless.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -150,7 +152,8 @@ def ordinary_mean(name: str) -> OrdinaryMean:
 
 def _clenshaw(rev: list, u: float) -> float:
     """The Chebyshev series with coefficients ``rev``, highest first, at ``u``
-    (Clenshaw's recurrence)."""
+    (Clenshaw's recurrence): the reference that build() and the tests use,
+    and that :meth:`ConstructedMeasure._eval` writes out."""
     b1 = b2 = 0.0
     u2 = u + u
     for a in rev:
@@ -164,17 +167,23 @@ def _linspace(a: float, b: float, n: int) -> list:
     return [a + i * step for i in range(n - 1)] + [b]
 
 
+@functools.cache  # build() fits at degrees 32, 64, ..., 512 only
+def _cos_rows(n: int) -> tuple:
+    """Row ``m`` holds ``cos(pi m j / n)`` for ``j = 0, ..., n``."""
+    cos = [math.cos(math.pi * i / n) for i in range(2 * n)]
+    return tuple(tuple(cos[m * j % (2 * n)] for j in range(n + 1))
+                 for m in range(n + 1))
+
+
 def _vals2coeffs(v: list) -> list:
     """Chebyshev coefficients, lowest first, of the polynomial through the
     values ``v`` at ``u_j = -cos(pi j / n)``: a DCT-I, O(n^2) (chebfun's
     ``vals2coeffs``; Trefethen, *Approximation Theory and Approximation
-    Practice*, 2013, ch. 3)."""
+    Practice*, 2013, ch. 3).  The cosine rows are cached per degree."""
     n = len(v) - 1
-    cos = [math.cos(math.pi * i / n) for i in range(2 * n)]
     v = [0.5 * v[0]] + v[1:-1] + [0.5 * v[-1]]
-    c = [(-2.0 if m % 2 else 2.0) / n
-         * sum(vj * cos[m * j % (2 * n)] for j, vj in enumerate(v))
-         for m in range(n + 1)]
+    c = [(-2.0 if m % 2 else 2.0) / n * sum(map(operator.mul, v, row))
+         for m, row in enumerate(_cos_rows(n))]
     c[0] *= 0.5
     c[-1] *= 0.5
     return c
@@ -208,19 +217,21 @@ class _Branch:
 
     In ``t = |log x|`` and ``u = 2 t / t_end - 1``, ``log F = 2 log t + R(u)
     + const``, where ``R`` integrates ``(h - 2) / t`` in coefficient space
-    from the series ``h`` of :func:`_slope_series`.  Both series are cut at
-    the plateau the fit found, to its ``terms`` coefficients, and summed
-    directly at any ``t > 0``, down to one ulp from the pivot, and ``const``
-    puts ``log F = 0`` at ``anchor_x``.  Raises :class:`NotIncreasing`
-    unless, at every point the series was fitted on, ``f`` moves away from
-    ``f(1) = 0`` and the density is positive.
+    from the series ``h`` of :func:`_slope_series`, and ``x - K(1, x) =
+    x log x / h(u)``.  Both series are cut at the plateau the fit found, to
+    its ``terms`` coefficients, and ``const`` puts ``log F = 0`` at
+    ``anchor_x``; :meth:`ConstructedMeasure._eval` sums them at any ``t >
+    0``, down to one ulp from the pivot, in one pass per point.  Raises
+    :class:`NotIncreasing` unless, at every point the series was fitted on,
+    ``f`` moves away from ``f(1) = 0`` and the density is positive.
     """
 
     def __init__(self, k: OrdinaryMean, exact_end: float, anchor_x: float):
         c, self.series, x, gap = _slope_series(k, exact_end)
-        self.side = side = 1 if exact_end > 1.0 else -1  # side of the pivot
+        side = 1 if exact_end > 1.0 else -1  # side of the pivot
         self.anchor_x = anchor_x
-        self.t_end = abs(math.log(exact_end))
+        self.t_end = t_end = abs(math.log(exact_end))
+        self.t_max = t_end * (1.0 + 1e-9)  # the last t a point may have
         # with t = t_end (1 + u)/2, (h - 2)/t dt = (h - 2)/(1 + u) du
         # R from the whole fit, then both cut at the plateau: past it the
         # coefficients are rounding noise
@@ -229,9 +240,15 @@ class _Branch:
         self._h, self._R = c[n - 1::-1], R[n - 1::-1]
         # |T_k| <= 1, so the cut moves log F by at most the dropped |R_k|
         self.series["tail"] = math.fsum(map(abs, R[n:]))
-        v = self._v(abs(math.log(anchor_x)))
-        self._const = -math.fsum((2.0 * math.log(v), _clenshaw(self._R, v - 1.0)))
-        F = [math.exp(self.log_F(abs(math.log(p)))) for p in x]
+
+        def terms(t: float) -> tuple[float, float]:
+            # log F less const, from the reference sum, as _eval takes it
+            v = 2.0 * t / t_end
+            return 2.0 * math.log(v), _clenshaw(self._R, v - 1.0)
+
+        self._const = -math.fsum(terms(abs(math.log(anchor_x))))
+        F = [math.exp(math.fsum((*terms(abs(math.log(p))), self._const)))
+             for p in x]
         f = [0.0] + [Fp / g for Fp, g in zip(F, gap)]
         # w = g' F / gap^2 is f', so f = F / gap must move away from f(1) = 0,
         # which keeps the pair across the pivot, and g' F must be positive
@@ -241,28 +258,12 @@ class _Branch:
                 f"constructed primitive for {k.name!r} is not strictly increasing"
             )
 
-    def _v(self, t: float) -> float:
-        """``1 + u``, rounded once; ``u = v - 1`` is then exact from 1/2 up."""
-        if t > self.t_end * (1.0 + 1e-9):
-            raise DomainError("point outside the tabulated window")
-        return 2.0 * t / self.t_end
-
-    def log_F(self, t: float) -> float:
-        # log F = 2 log v + R(v - 1) + const, 2 log(t_end / 2) being in const:
-        # both terms read the same rounded v, so a relative error d in v moves
-        # their sum by h d only, and the three terms are added with one rounding
-        v = self._v(t)
-        return math.fsum((2.0 * math.log(v), _clenshaw(self._R, v - 1.0),
-                          self._const))
-
-    def gap(self, t: float, x: float) -> float:
-        """``x - K(1, x)`` from the series, with no cancellation near 1."""
-        return self.side * t * x / _clenshaw(self._h, self._v(t) - 1.0)
-
 
 class ConstructedMeasure:
     """Primitives of a measure synthesized from a two-argument mean.
 
+    ``f``, ``F``, ``w`` and ``log F`` come from one pass per point, in
+    :meth:`_eval`.
     ``series`` records for each branch its Chebyshev degree, the ``terms``
     it sums (its coefficients up to their plateau) and, as ``tail``, the sum
     of the ``|R_k|`` the cut drops from the series of ``log F``: a bound on
@@ -296,46 +297,64 @@ class ConstructedMeasure:
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def _branch(self, x: float) -> _Branch:
-        branch = self._right if x > 1.0 else self._left
-        if branch is None:
+    def _eval(self, x: float) -> tuple[float, float, float, float]:
+        """``(f, F, x - K(1, x), log F)`` at ``x`` in one pass, ``log F``
+        less ``log(left_scale)`` below 1.
+
+        ``log F = 2 log v + R(v - 1) + const``, ``v = 1 + u`` rounded once
+        (``u = v - 1`` is then exact from 1/2 up): both terms read the same
+        ``v``, so a relative error ``d`` in ``v`` moves their sum by ``h d``
+        only.  Near the pivot the gap is ``x log x / h``, ``h`` summed in the
+        same loop as ``R``.  The loops are :func:`_clenshaw` written out: the
+        Python frames per endpoint are what a set mean on a built measure costs.
+        """
+        if x == 1.0:
+            return 0.0, 0.0, 0.0, -math.inf  # the F(1) = f(1) = 0 limits
+        if x > 1.0:
+            b, scale = self._right, 1.0
+        else:
+            b, scale = self._left, self.left_scale
+        if b is None:
             side = "above" if x > 1.0 else "below"
             raise DomainError(f"no branch {side} 1 was tabulated")
-        return branch
-
-    def _gap(self, x: float) -> float:
+        L = math.log(x) if x > 0.0 else math.nan  # x <= 0, nan fail below
+        t = abs(L)
+        if not t <= b.t_max:
+            raise DomainError(f"point {x!r} outside the tabulated window")
+        v = 2.0 * t / b.t_end
+        u = v - 1.0
+        u2 = u + u
+        r1 = r2 = 0.0
         if _X_CANCEL_LO < x < _X_CANCEL_HI:
             # x - K(1, x) loses digits to cancellation here
-            return self._branch(x).gap(abs(math.log(x)), x)
-        return x - self.section(x)
+            h1 = h2 = 0.0
+            for a, c in zip(b._R, b._h):
+                r1, r2 = a + u2 * r1 - r2, r1
+                h1, h2 = c + u2 * h1 - h2, h1
+            gap = L * x / (h1 - u * h2)
+        else:
+            for a in b._R:
+                r1, r2 = a + u2 * r1 - r2, r1
+            gap = x - self.section(x)
+        log_F = math.fsum((2.0 * math.log(v), r1 - u * r2, b._const))
+        F = scale * math.exp(log_F)
+        return F / gap, F, gap, log_F
 
     def log_F(self, x: float) -> float:
         """``log F(x)``, less ``log(left_scale)`` below 1: one branch's series."""
-        if x == 1.0:
-            return -math.inf  # F(1) = 0 limit
-        return self._branch(x).log_F(abs(math.log(x)))
+        return self._eval(x)[3]
 
     def F(self, x: float) -> float:
-        if x == 1.0:
-            return 0.0
-        return (self.left_scale if x < 1.0 else 1.0) * math.exp(self.log_F(x))
-
-    def _f_F(self, x: float) -> tuple[float, float]:
-        """``(f(x), F(x))`` from one ``log F`` and one gap."""
-        if x == 1.0:
-            return 0.0, 0.0
-        F = (self.left_scale if x < 1.0 else 1.0) * math.exp(self.log_F(x))
-        return F / self._gap(x), F
+        return self._eval(x)[1]
 
     def f(self, x: float) -> float:
-        return self._f_F(x)[0]
+        return self._eval(x)[0]
 
     def w(self, x: float) -> float:
         if x == 1.0:
             # density limit at the pivot: evaluate one ulp off it
             x = math.nextafter(1.0, 2.0 if self._right is not None else 0.0)
-        F = self.F(x)
-        gap = self._gap(x)
+        _, F, gap, _ = self._eval(x)
         return self.section_slope(x) * F / (gap * gap)
 
     def to_spec(self) -> MeasureSpec:

@@ -74,12 +74,12 @@ def mean(spec: MeasureSpec, H: IntervalSet) -> MeanReport:
         r = mean(spec.base, H)
         return MeanReport(r.value, spec.factor * r.mass, spec.factor * r.moment,
                           r.err)
-    mass, mass_err, moment, moment_err = spec.integrate(H)
+    mass, mass_err, moment, moment_err = spec._integrate(H, True)
     if not (mass > 0.0):
         raise DomainError(f"measure {spec.name!r} gave non-positive mass {mass!r}")
     value = moment / mass
     err = (moment_err + abs(value) * mass_err) / mass + 4.0 * _EPS * abs(value)
-    return MeanReport(value=value, mass=mass, moment=moment, err=err)
+    return MeanReport(value, mass, moment, err)
 
 
 def ordinary(spec: MeasureSpec, a: float, b: float) -> float:

@@ -37,8 +37,8 @@ class MeasureSpec:
     ``density_shape`` declares weak monotonicity of the density ("increasing",
     "decreasing", or "none" when unknown); a constant density counts as weakly
     increasing.  ``construction`` carries the ``construct.ConstructedMeasure``
-    a built measure came from, and nothing else; set integrals take its fused
-    ``(f, F)`` while ``cdf`` and ``antiderivative`` are its own.
+    a built measure came from, and nothing else; set integrals take its one
+    pass per endpoint while ``cdf`` and ``antiderivative`` are its own.
     """
 
     name: str
@@ -87,9 +87,12 @@ class MeasureSpec:
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
         # the moment and its error stay 0 unless asked for; the path is
-        # chosen once per set: quadrature, a construction's fused (f, F), or
-        # the primitives
-        self.require_domain(H)
+        # chosen once per set: quadrature, a construction's one pass per
+        # endpoint, or the primitives
+        pairs = H.intervals
+        if pairs and not (pairs[0][0] > self.domain[0]
+                          and pairs[-1][1] < self.domain[1]):
+            self.require_domain(H)  # raises
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
         cm = self.construction
@@ -97,7 +100,7 @@ class MeasureSpec:
             if f is None or F is None:
                 # one panel table for the set: the passes of an interval share it
                 table = PanelSums(self.density)
-                for lo, hi in H.intervals:
+                for lo, hi in pairs:
                     r = quad(table.mass, lo, hi)
                     mass += r.value
                     mass_err += r.error_estimate
@@ -108,10 +111,10 @@ class MeasureSpec:
                         moment_err += (m.error_estimate
                                        + _EPS * max(abs(lo), abs(hi)) * r.value)
             elif cm is not None and f == cm.f and F == cm.F:
-                # one log F and one gap per endpoint give the construction's f and F
-                fF = cm._f_F
-                for lo, hi in H.intervals:
-                    (flo, Flo), (fhi, Fhi) = fF(lo), fF(hi)
+                # one pass per endpoint gives the construction's f and F
+                at = cm._eval
+                for lo, hi in pairs:
+                    (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
                     mass += fhi - flo
                     mass_err += _EPS * (abs(fhi) + abs(flo))
                     if with_moment:
@@ -119,7 +122,7 @@ class MeasureSpec:
                         moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
                                               + abs(Fhi) + abs(Flo))
             else:
-                for lo, hi in H.intervals:
+                for lo, hi in pairs:
                     flo, fhi = f(lo), f(hi)
                     mass += fhi - flo
                     mass_err += _EPS * (abs(fhi) + abs(flo))

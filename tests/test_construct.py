@@ -39,6 +39,7 @@ from meanmeasure.construct import (
     _linspace,
     _log_slope_integral,
     _slope_series,
+    _vals2coeffs,
 )
 
 E = math.e
@@ -159,10 +160,11 @@ def test_branches_sum_their_series_up_to_the_plateau():
             scale = max(map(abs, R))
             full = R[::-1]
             for t in _linspace(0.0, branch.t_end, 201)[1:]:
-                v = branch._v(t)
+                x = math.exp(t if end > 1.0 else -t)
+                v = 2.0 * abs(math.log(x)) / branch.t_end
                 want = math.fsum((2.0 * math.log(v), _clenshaw(full, v - 1.0),
                                   branch._const))
-                assert abs(branch.log_F(t) - want) <= dropped + 4.0 * math.ulp(
+                assert abs(cm.log_F(x) - want) <= dropped + 4.0 * math.ulp(
                     max(abs(want), scale)), (name, end, t)
 
 
@@ -356,9 +358,10 @@ def test_reconstruct_is_scale_invariant(built):
         assert reconstruct(scaled, a, b) == reconstruct(spec, a, b)
 
 
-def test_built_mean_evaluates_log_F_twice_per_interval(built):
-    # one log F and one gap x - K(1, x) per endpoint gives both f and F, in
-    # any MeasureSpec whose primitives are its construction's own
+def test_built_mean_takes_one_pass_per_endpoint(built):
+    # one pass per endpoint gives both f and F, in any MeasureSpec whose
+    # primitives are its construction's own; it calls K(1, x) for the gap
+    # only away from the pivot, |log x| >= 1/2
     spec = built["harmonic"]
     assert type(spec) is MeasureSpec
     by_hand = MeasureSpec(**{f.name: getattr(spec, f.name)
@@ -372,16 +375,71 @@ def test_built_mean_evaluates_log_F_twice_per_interval(built):
         return wrapper
 
     section = cm.section
-    cm.log_F = counted("log_F", cm.log_F)
+    cm._eval = counted("pass", cm._eval)
     cm.section = counted("K", section)
     try:
         for s in (spec, by_hand):
-            calls = {"log_F": 0, "K": 0}
+            calls = {"pass": 0, "K": 0}
             mean(s, normalize([(2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]))
-            assert calls == {"log_F": 2 * 3, "K": 2 * 3}
+            assert calls == {"pass": 2 * 3, "K": 2 * 3}
+            calls = {"pass": 0, "K": 0}
+            mean(s, normalize([(0.7, 0.8), (1.2, 1.4)]))
+            assert calls == {"pass": 2 * 2, "K": 0}
     finally:
-        del cm.log_F
+        del cm._eval
         cm.section = section
+
+
+def test_one_pass_matches_the_reference_sums():
+    # each branch at 200 points, crowded toward the pivot so that many fall
+    # within |log x| < 1/2: the pass must give, bit for bit, log F and F from
+    # _clenshaw, the gap from the series h there and from K(1, x) elsewhere
+    cancel_lo, cancel_hi = math.exp(-0.5), math.exp(0.5)
+    for name, window in itertools.product(
+            ["arithmetic", "geometric", "harmonic", "logarithmic"],
+            [WINDOW, (0.01, 0.9), (0.9, 1.005)]):
+        k = ordinary_mean(name)
+        cm = build(k, window).construction
+        for branch, side, scale in ((cm._right, 1, 1.0),
+                                    (cm._left, -1, cm.left_scale)):
+            if branch is None:
+                continue
+            for i in range(1, 201):
+                x = math.exp(side * branch.t_end * (i / 200) ** 2)
+                L = math.log(x)
+                v = 2.0 * abs(L) / branch.t_end
+                log_F = math.fsum((2.0 * math.log(v), _clenshaw(branch._R, v - 1.0),
+                                   branch._const))
+                F = scale * math.exp(log_F)
+                gap = (L * x / _clenshaw(branch._h, v - 1.0)
+                       if cancel_lo < x < cancel_hi else x - k.section(x))
+                assert cm._eval(x) == (F / gap, F, gap, log_F), (name, window, x)
+                assert (cm.f(x), cm.F(x), cm.log_F(x)) == (F / gap, F, log_F)
+                assert cm.w(x) == k.section_slope(x) * F / (gap * gap)
+
+
+def test_vals2coeffs_is_the_direct_double_sum():
+    # the cached cosine rows change neither the products nor their order
+    rng = random.Random(3)
+    for n in (32, 64):
+        v = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
+        vh = [0.5 * v[0]] + v[1:-1] + [0.5 * v[-1]]
+        want = [(-2.0 if m % 2 else 2.0) / n
+                * sum(vj * math.cos(math.pi * (m * j % (2 * n)) / n)
+                      for j, vj in enumerate(vh))
+                for m in range(n + 1)]
+        want[0] *= 0.5
+        want[-1] *= 0.5
+        assert _vals2coeffs(v) == want
+
+
+def test_built_primitives_refuse_points_off_the_positive_axis():
+    # x <= 0 and nan are outside every window: the log of x is never taken
+    spec = build(ordinary_mean("geometric"), WINDOW)
+    for fn in (spec.cdf, spec.antiderivative, spec.density):
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="outside the tabulated window"):
+                fn(x)
 
 
 def test_built_mean_is_bit_identical_to_primitive_calls():
