@@ -103,37 +103,30 @@ def _log_mean_section_slope(x: float) -> float:
     return (math.expm1(-L) + L) / (L * L)
 
 
-def _power_mean(p: float) -> OrdinaryMean:
-    def k(a: float, b: float) -> float:
-        return ((a ** p + b ** p) / 2.0) ** (1.0 / p)
-
-    def slope(x: float) -> float:
-        return ((1.0 + x ** p) / 2.0) ** (1.0 / p - 1.0) * x ** (p - 1.0) / 2.0
-
-    return OrdinaryMean(f"power:{p:g}", k, slope)
+_NAMED_MEANS = {k.name: k for k in (
+    OrdinaryMean("arithmetic", lambda a, b: 0.5 * (a + b),
+                 lambda x: 0.5),
+    OrdinaryMean("geometric", lambda a, b: math.sqrt(a * b),
+                 lambda x: 0.5 / math.sqrt(x)),
+    OrdinaryMean("harmonic", lambda a, b: 2.0 * a * b / (a + b),
+                 lambda x: 2.0 / (1.0 + x) ** 2),
+    OrdinaryMean(
+        "logarithmic",
+        lambda a, b: (a - b) / (math.log(a) - math.log(b)) if a != b else a,
+        _log_mean_section_slope,
+    ),
+)}
 
 
 def ordinary_mean(name: str) -> OrdinaryMean:
     """Built-in two-argument means selectable by name.
 
-    Supported: arithmetic, geometric, harmonic, logarithmic, and ``power:p``
-    for a real exponent p (p = 0 maps to geometric).
+    Supported: arithmetic, geometric, harmonic, logarithmic, each one shared
+    frozen value, and ``power:p`` for a real exponent p, built on each call
+    (p = 0 maps to geometric).
     """
-    if name == "arithmetic":
-        return OrdinaryMean("arithmetic", lambda a, b: 0.5 * (a + b),
-                            lambda x: 0.5)
-    if name == "geometric":
-        return OrdinaryMean("geometric", lambda a, b: math.sqrt(a * b),
-                            lambda x: 0.5 / math.sqrt(x))
-    if name == "harmonic":
-        return OrdinaryMean("harmonic", lambda a, b: 2.0 * a * b / (a + b),
-                            lambda x: 2.0 / (1.0 + x) ** 2)
-    if name == "logarithmic":
-        return OrdinaryMean(
-            "logarithmic",
-            lambda a, b: (a - b) / (math.log(a) - math.log(b)) if a != b else a,
-            _log_mean_section_slope,
-        )
+    if name in _NAMED_MEANS:
+        return _NAMED_MEANS[name]
     if name.startswith("power:"):
         try:
             p = float(name.split(":", 1)[1])
@@ -142,8 +135,15 @@ def ordinary_mean(name: str) -> OrdinaryMean:
         if not math.isfinite(p):
             raise UnknownMeasure(f"bad power mean exponent in {name!r}")
         if p == 0.0:
-            return ordinary_mean("geometric")
-        return _power_mean(p)
+            return _NAMED_MEANS["geometric"]
+
+        def k(a: float, b: float) -> float:
+            return ((a ** p + b ** p) / 2.0) ** (1.0 / p)
+
+        def slope(x: float) -> float:
+            return ((1.0 + x ** p) / 2.0) ** (1.0 / p - 1.0) * x ** (p - 1.0) / 2.0
+
+        return OrdinaryMean(f"power:{p:g}", k, slope)
     raise UnknownMeasure(
         f"unknown ordinary mean {name!r}; choose arithmetic, geometric, "
         f"harmonic, logarithmic, or power:p"

@@ -93,7 +93,8 @@ def avg(H: IntervalSet) -> float:
     """Lebesgue-weighted centroid of ``H`` (closed form)."""
     if H.is_empty:
         raise EmptySet("avg of the empty set is undefined")
-    moment = math.fsum(0.5 * (hi * hi - lo * lo) for lo, hi in H)
+    # (hi - lo) (hi + lo) does not cancel far from the origin, as hi^2 - lo^2 does
+    moment = math.fsum((hi - lo) * (hi + lo) for lo, hi in H) * 0.5
     return moment / H.lebesgue()
 
 
@@ -316,10 +317,14 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
     if not (lo < hi):
         raise InvalidInterval(f"interval needs lo < hi, got ({lo!r}, {hi!r})")
     spec.require_domain(normalize([(lo, hi)]))
-    if spec.density_shape == "decreasing":
-        return BoundPair(m=spec.density(hi), M=spec.density(lo), exact=True)
-    if spec.density_shape == "increasing":
-        return BoundPair(m=spec.density(lo), M=spec.density(hi), exact=True)
+    try:
+        if spec.density_shape == "decreasing":
+            return BoundPair(m=spec.density(hi), M=spec.density(lo), exact=True)
+        if spec.density_shape == "increasing":
+            return BoundPair(m=spec.density(lo), M=spec.density(hi), exact=True)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"density of {spec.name!r} leaves double range "
+                          f"on {interval!r}") from None
     m_est = math.inf
     M_est = -math.inf
     for k in range(7):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import DomainError, InvalidInterval, UnknownMeasure
-from .intervals import IntervalSet
+from .intervals import IntervalSet, normalize
 from .quadrature import PanelSums, quad
 
 _EPS = 2.0 ** -50  # a couple of ulps, for rounding-error propagation
@@ -189,31 +189,39 @@ class _ScaledMeasure(MeasureSpec):
         return tuple(c * v for v in self.base._integrate(H, with_moment))
 
 
-def consistency_errors(spec: MeasureSpec, window: tuple[float, float],
-                       n: int = 33) -> tuple[float, float]:
+_PROBES = 33  # probe points of consistency_errors
+
+
+def consistency_errors(spec: MeasureSpec,
+                       window: tuple[float, float]) -> tuple[float, float]:
     """Max relative deviation of F' from f and of f' from w on a probe grid.
 
     Derivatives are central differences with step ``1e-6 * max(1, |x|)``.
-    Returns ``(0, 0)`` components for primitives that are absent.
+    Returns ``(0, 0)`` components for primitives that are absent.  A window
+    outside the domain, or where the density or a primitive leaves double
+    range, raises ``DomainError``.
     """
     a, b = window
     if not (a < b):
         raise InvalidInterval(f"window must satisfy lo < hi, got {window!r}")
-    if n < 1:
-        raise InvalidInterval(f"need at least one probe point, got n={n!r}")
-    xs = [a + (b - a) * (i + 0.5) / n for i in range(n)]
+    spec.require_domain(normalize([window]))
+    xs = [a + (b - a) * (i + 0.5) / _PROBES for i in range(_PROBES)]
     err_Ff = 0.0
     err_fw = 0.0
-    for x in xs:
-        h = 1e-6 * max(1.0, abs(x))
-        if spec.cdf is not None and spec.antiderivative is not None:
-            fd = (spec.antiderivative(x + h) - spec.antiderivative(x - h)) / (2 * h)
-            f = spec.cdf(x)
-            err_Ff = max(err_Ff, abs(fd - f) / max(abs(f), 1e-300))
-        if spec.cdf is not None:
-            fd = (spec.cdf(x + h) - spec.cdf(x - h)) / (2 * h)
-            w = spec.density(x)
-            err_fw = max(err_fw, abs(fd - w) / max(abs(w), 1e-300))
+    try:
+        for x in xs:
+            h = 1e-6 * max(1.0, abs(x))
+            if spec.cdf is not None and spec.antiderivative is not None:
+                fd = (spec.antiderivative(x + h) - spec.antiderivative(x - h)) / (2 * h)
+                f = spec.cdf(x)
+                err_Ff = max(err_Ff, abs(fd - f) / max(abs(f), 1e-300))
+            if spec.cdf is not None:
+                fd = (spec.cdf(x + h) - spec.cdf(x - h)) / (2 * h)
+                w = spec.density(x)
+                err_fw = max(err_fw, abs(fd - w) / max(abs(w), 1e-300))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"density or primitives of {spec.name!r} leave "
+                          f"double range on the window {window!r}") from None
     return err_Ff, err_fw
 
 
@@ -245,14 +253,21 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
         raise InvalidInterval(f"interval must satisfy lo < hi, got {interval!r}")
     if n_probe < 2:
         raise InvalidInterval(f"need at least two probe points, got {n_probe!r}")
+    box = normalize([interval])
+    numer.require_domain(box)
+    denom.require_domain(box)
     xs = [a + (b - a) * i / (n_probe - 1) for i in range(n_probe)]
     ratios = []
-    for x in xs:
-        wn = numer.density(x)
-        wd = denom.density(x)
-        if not (wn > 0.0 and wd > 0.0):
-            raise DomainError(f"non-positive density sample at {x!r}")
-        ratios.append(wn / wd)
+    try:
+        for x in xs:
+            wn = numer.density(x)
+            wd = denom.density(x)
+            if not (wn > 0.0 and wd > 0.0):
+                raise DomainError(f"non-positive density sample at {x!r}")
+            ratios.append(wn / wd)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"density of {numer.name!r} or {denom.name!r} "
+                          f"leaves double range on {interval!r}") from None
     for i in range(len(xs) - 1):
         if ratios[i + 1] < ratios[i] * (1.0 - 1e-12):
             return RatioCertificate(
@@ -266,90 +281,65 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
 # -- catalog -----------------------------------------------------------------
 
 
-def _lebesgue() -> MeasureSpec:
-    return MeasureSpec(
+_CATALOG = {spec.name: spec for spec in (
+    MeasureSpec(
         name="lebesgue",
         domain=(-math.inf, math.inf),
         density=lambda x: 1.0,
         cdf=lambda x: x,
         antiderivative=lambda x: 0.5 * x * x,
         density_shape="increasing",  # constant, weakly monotone
-    )
-
-
-def _geometric() -> MeasureSpec:
-    return MeasureSpec(
+    ),
+    MeasureSpec(
         name="geometric",
         domain=(0.0, math.inf),
         density=lambda x: 1.0 / (2.0 * _E2 * x * math.sqrt(x)),
         cdf=lambda x: (1.0 - 1.0 / math.sqrt(x)) / _E2,
         antiderivative=lambda x: (math.sqrt(x) - 1.0) ** 2 / _E2,
         density_shape="decreasing",
-    )
-
-
-def _harmonic() -> MeasureSpec:
-    return MeasureSpec(
+    ),
+    MeasureSpec(
         name="harmonic",
         domain=(0.0, math.inf),
         density=lambda x: 2.0 / x ** 3,
         cdf=lambda x: 1.0 - 1.0 / (x * x),
         antiderivative=lambda x: x - 2.0 + 1.0 / x,
         density_shape="decreasing",
-    )
-
-
-def _logarithmic() -> MeasureSpec:
-    return MeasureSpec(
+    ),
+    MeasureSpec(
         name="logarithmic",
         domain=(0.0, math.inf),
         density=lambda x: 1.0 / x,
         cdf=math.log,
         antiderivative=lambda x: x * math.log(x) - x + 1.0,
         density_shape="decreasing",
-    )
-
-
-def _square() -> MeasureSpec:
-    return MeasureSpec(
+    ),
+    MeasureSpec(
         name="square",
         domain=(0.0, math.inf),
         density=lambda x: 2.0 * x,
         cdf=lambda x: x * x,
         antiderivative=lambda x: x ** 3 / 3.0,
         density_shape="increasing",
-    )
-
-
-def _exponential() -> MeasureSpec:
-    return MeasureSpec(
+    ),
+    MeasureSpec(
         name="exponential",
         domain=(-math.inf, math.inf),
         density=math.exp,
         cdf=math.exp,
         antiderivative=math.exp,
         density_shape="increasing",
-    )
-
-
-_CATALOG = {
-    "lebesgue": _lebesgue,
-    "geometric": _geometric,
-    "harmonic": _harmonic,
-    "logarithmic": _logarithmic,
-    "square": _square,
-    "exponential": _exponential,
-}
+    ),
+)}
 
 CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str) -> MeasureSpec:
-    """Look up a built-in measure by name."""
+    """The built-in measure of that name: one shared, frozen spec."""
     try:
-        builder = _CATALOG[name]
+        return _CATALOG[name]
     except KeyError:
         raise UnknownMeasure(
             f"unknown measure {name!r}; choose from {', '.join(CATALOG_NAMES)}"
         ) from None
-    return builder()

@@ -71,6 +71,15 @@ def test_ordinary_mean_factory():
             ordinary_mean(name)
 
 
+def test_named_means_are_shared_values_and_power_means_are_built():
+    for name in ("arithmetic", "geometric", "harmonic", "logarithmic"):
+        k = ordinary_mean(name)
+        assert k.name == name
+        assert ordinary_mean(name) is k
+    assert ordinary_mean("power:0") is ordinary_mean("geometric")
+    assert ordinary_mean("power:2") is not ordinary_mean("power:2")
+
+
 def test_round_trip_against_named_means(built):
     grid = np.linspace(0.5, 63.5, 12)
     for name in ("geometric", "harmonic", "logarithmic"):

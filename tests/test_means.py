@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def test_avg_translation_covariance():
         H = random_interval_union(rng, (-40.0, 40.0), max_intervals=4)
         x = rng.uniform(-100, 100)
         assert abs(avg(H.translate(x)) - (avg(H) + x)) <= 1e-12 * (1.0 + abs(x))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e8, 1e12])
+def test_avg_does_not_cancel_far_from_the_origin(shift):
+    H = normalize([(1.0 + shift, 2.0 + shift), (2.5 + shift, 2.7 + shift)])
+    pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in H]
+    exact = float(sum((hi * hi - lo * lo) / 2 for lo, hi in pairs)
+                  / sum(hi - lo for lo, hi in pairs))
+    assert abs(avg(H) - exact) <= math.ulp(exact)
 
 
 def test_pseudo_metric_examples():
@@ -276,6 +286,12 @@ def test_m_bound_examples():
     h = m_bound(catalog("harmonic"), (1.0, 2.0))
     assert h.m == pytest.approx(0.25, rel=1e-14)
     assert h.M == pytest.approx(2.0, rel=1e-14)
+
+
+def test_m_bound_density_past_double_range_is_a_domain_error():
+    # e^700 overflows in the density itself, before any set is integrated
+    with pytest.raises(DomainError, match="double range"):
+        m_bound(catalog("exponential"), (700.0, 800.0))
 
 
 def test_m_bound_grid_estimate_brackets_from_inside():

@@ -50,6 +50,15 @@ def test_catalog_names_and_unknown():
         catalog("cauchy")
 
 
+def test_catalog_returns_one_shared_value_per_name():
+    specs = [catalog(name) for name in CATALOG_NAMES]
+    assert [s.name for s in specs] == list(CATALOG_NAMES)
+    for name, spec in zip(CATALOG_NAMES, specs):
+        assert catalog(name) is spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.name = "other"
+
+
 def test_geometric_closed_forms():
     g = catalog("geometric")
     for x in (0.5, 1.0, 2.0, 10.0):
@@ -301,6 +310,38 @@ def test_primitive_dividing_by_an_underflow_is_reported():
         harmonic.integrate(H)
 
 
+# each window below once raised a bare ValueError, ZeroDivisionError or
+# OverflowError from a density or a primitive
+
+
+def test_ratio_window_outside_the_domain_is_a_domain_error():
+    with pytest.raises(DomainError, match="domain"):
+        density_ratio_increasing(catalog("geometric"), catalog("lebesgue"),
+                                 (-1.0, 1.0))
+
+
+def test_ratio_window_touching_the_domain_edge_is_a_domain_error():
+    with pytest.raises(DomainError, match="domain"):
+        density_ratio_increasing(catalog("harmonic"), catalog("lebesgue"),
+                                 (0.0, 1.0))
+
+
+def test_ratio_density_past_double_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="double range"):
+        density_ratio_increasing(catalog("exponential"), catalog("lebesgue"),
+                                 (700.0, 800.0))
+
+
+def test_consistency_window_outside_the_domain_is_a_domain_error():
+    with pytest.raises(DomainError, match="domain"):
+        consistency_errors(catalog("logarithmic"), (-2.0, 1.0))
+
+
+def test_consistency_primitive_past_double_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="double range"):
+        consistency_errors(catalog("exponential"), (700.0, 800.0))
+
+
 def test_reversed_windows_are_invalid_intervals():
     g = catalog("geometric")
     with pytest.raises(InvalidInterval):
@@ -352,11 +393,6 @@ def test_ratio_needs_two_probe_points(n_probe):
     for numer, denom in [(g, leb), (leb, g)]:
         with pytest.raises(InvalidInterval):
             density_ratio_increasing(numer, denom, (0.1, 100.0), n_probe=n_probe)
-
-
-def test_consistency_errors_need_a_probe_point():
-    with pytest.raises(InvalidInterval):
-        consistency_errors(catalog("geometric"), (1.0, 4.0), n=0)
 
 
 # -- density-ratio certificates ------------------------------------------------
