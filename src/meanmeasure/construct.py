@@ -72,7 +72,6 @@ class OrdinaryMean:
     name: str
     func: Callable[[float, float], float]
     section_deriv: Optional[Callable[[float], float]] = None
-    domain: tuple[float, float] = (0.0, math.inf)
 
     def __call__(self, a: float, b: float) -> float:
         return self.func(a, b)
@@ -477,7 +476,7 @@ def _left_scale(k: OrdinaryMean, a: float, b: float) -> float:
 def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
     """Synthesize the measure generating ``k`` on ``window``.
 
-    The window must sit inside the mean's domain with positive lower end.
+    The window must satisfy ``0 < lo < hi < inf``.
     Returns a :class:`MeasureSpec` whose primitives sum a Chebyshev series
     on each side of 1 that the window reaches; the underlying :class:`ConstructedMeasure` rides along in its
     ``construction`` field, with the worst relative error of the self-check
@@ -488,10 +487,8 @@ def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
     """
     start = time.perf_counter()
     lo, hi = window
-    if not (0.0 < lo < hi):
-        raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
-    if lo <= k.domain[0] or hi >= k.domain[1]:
-        raise DomainError(f"window {window!r} exceeds the mean's domain {k.domain!r}")
+    if not (0.0 < lo < hi < math.inf):
+        raise DomainError(f"window must satisfy 0 < lo < hi < inf, got {window!r}")
     _probe_mean(k, window)
 
     # anchors where F = 1 on the right and F = left_scale on the left; a

@@ -51,15 +51,10 @@ class MeasureSpec:
 
     # -- domain handling --------------------------------------------------
 
-    def contains(self, H: IntervalSet) -> bool:
-        pairs = H.intervals
-        if not pairs:
-            return True
-        lo, hi = self.domain
-        return pairs[0][0] > lo and pairs[-1][1] < hi
-
     def require_domain(self, H: IntervalSet) -> None:
-        if not self.contains(H):
+        pairs = H.intervals
+        if pairs and not (pairs[0][0] > self.domain[0]
+                          and pairs[-1][1] < self.domain[1]):
             raise DomainError(
                 f"set within [{H.infimum()!r}, {H.supremum()!r}] exceeds the "
                 f"domain {self.domain!r} of measure {self.name!r}"
@@ -87,8 +82,8 @@ class MeasureSpec:
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
         # the moment and its error stay 0 unless asked for; the path is
-        # chosen once per set: quadrature, a construction's one pass per
-        # endpoint, or the primitives
+        # chosen once per set: quadrature, or closed forms that take each
+        # endpoint's f and F from a construction's one pass or the primitives
         pairs = H.intervals
         if pairs and not (pairs[0][0] > self.domain[0]
                           and pairs[-1][1] < self.domain[1]):
@@ -110,24 +105,20 @@ class MeasureSpec:
                         # plus the rounding quad misses where x w(x) cancels
                         moment_err += (m.error_estimate
                                        + _EPS * max(abs(lo), abs(hi)) * r.value)
-            elif cm is not None and f == cm.f and F == cm.F:
-                # one pass per endpoint gives the construction's f and F
-                at = cm._eval
-                for lo, hi in pairs:
-                    (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
-                    mass += fhi - flo
-                    mass_err += _EPS * (abs(fhi) + abs(flo))
-                    if with_moment:
-                        moment += hi * fhi - lo * flo - (Fhi - Flo)
-                        moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
-                                              + abs(Fhi) + abs(Flo))
             else:
+                # one pass per endpoint gives a construction's own f and F
+                at = (cm._eval if cm is not None and f == cm.f and F == cm.F
+                      else None)
                 for lo, hi in pairs:
-                    flo, fhi = f(lo), f(hi)
+                    if at is not None:
+                        (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
+                    else:
+                        flo, fhi = f(lo), f(hi)
                     mass += fhi - flo
                     mass_err += _EPS * (abs(fhi) + abs(flo))
                     if with_moment:
-                        Flo, Fhi = F(lo), F(hi)
+                        if at is None:
+                            Flo, Fhi = F(lo), F(hi)
                         moment += hi * fhi - lo * flo - (Fhi - Flo)
                         moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
                                               + abs(Fhi) + abs(Flo))
@@ -196,7 +187,9 @@ def consistency_errors(spec: MeasureSpec,
                        window: tuple[float, float]) -> tuple[float, float]:
     """Max relative deviation of F' from f and of f' from w on a probe grid.
 
-    Derivatives are central differences with step ``1e-6 * max(1, |x|)``.
+    Derivatives are central differences with step
+    ``1e-6 * min(max(1, |x|), x - lo, hi - x)``, with ``(lo, hi)`` the spec's
+    domain, so every probe stays inside the domain.
     Returns ``(0, 0)`` components for primitives that are absent.  A window
     outside the domain, or where the density or a primitive leaves double
     range, raises ``DomainError``.
@@ -205,12 +198,13 @@ def consistency_errors(spec: MeasureSpec,
     if not (a < b):
         raise InvalidInterval(f"window must satisfy lo < hi, got {window!r}")
     spec.require_domain(normalize([window]))
+    lo, hi = spec.domain
     xs = [a + (b - a) * (i + 0.5) / _PROBES for i in range(_PROBES)]
     err_Ff = 0.0
     err_fw = 0.0
     try:
         for x in xs:
-            h = 1e-6 * max(1.0, abs(x))
+            h = 1e-6 * min(max(1.0, abs(x)), x - lo, hi - x)
             if spec.cdf is not None and spec.antiderivative is not None:
                 fd = (spec.antiderivative(x + h) - spec.antiderivative(x - h)) / (2 * h)
                 f = spec.cdf(x)

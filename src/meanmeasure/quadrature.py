@@ -98,9 +98,7 @@ def _sums(f, half, a, b):
 
 def _panel(fn, a, b):
     """Kronrod value, |Kronrod - Gauss| error bound and evaluations made."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    kron, diff = _sums([fn(center + half * t) for t in _T], half, a, b)
+    kron, diff = _new_row(fn, a, b)[3]
     return kron, abs(diff), 15
 
 

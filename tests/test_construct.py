@@ -220,6 +220,18 @@ def test_window_whose_F_overflows_is_a_domain_error():
         build(ordinary_mean("arithmetic"), (1e-300, 1e300))
 
 
+def test_window_reaching_infinity_is_a_domain_error():
+    with pytest.raises(DomainError, match="inf"):
+        build(ordinary_mean("geometric"), (1.0, math.inf))
+
+
+@pytest.mark.parametrize("window", [(3.999999, 3.9999999), (0.5000001, 0.500001)])
+def test_consistency_probes_near_the_window_ends_stay_inside_it(window):
+    # a probe step of 1e-6 * max(1, |x|) once left the tabulated window here
+    spec = build(ordinary_mean("geometric"), (0.5, 4.0))
+    assert all(map(math.isfinite, consistency_errors(spec, window)))
+
+
 def test_build_calls_mean_a_few_hundred_times():
     k = ordinary_mean("harmonic")
     calls = {"K": 0, "slope": 0}

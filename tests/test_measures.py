@@ -342,6 +342,24 @@ def test_consistency_primitive_past_double_range_is_a_domain_error():
         consistency_errors(catalog("exponential"), (700.0, 800.0))
 
 
+# the probe step shrinks toward a finite end of the domain; a step of
+# 1e-6 * max(1, |x|) once left the domain on each window below
+@pytest.mark.parametrize("name, window, bound_Ff, bound_fw", [
+    # once a bare ValueError, from log or sqrt of a negative probe; F cancels
+    # against its constant near 0
+    ("logarithmic", (1e-12, 1e-7), 1e-2, 1e-8),
+    ("geometric", (1e-9, 1e-7), 1e-4, 1e-8),
+    # once (1.0, 1.0) and 1.45e5 for F' against f: errors of the step
+    ("harmonic", (1e-200, 1e-100), 1e-9, 1e-9),
+    ("square", (1e-12, 1e-7), 1e-9, 1e-9),
+])
+def test_consistency_probes_near_zero_stay_in_the_domain(name, window,
+                                                         bound_Ff, bound_fw):
+    err_Ff, err_fw = consistency_errors(catalog(name), window)
+    assert err_Ff <= bound_Ff
+    assert err_fw <= bound_fw
+
+
 def test_reversed_windows_are_invalid_intervals():
     g = catalog("geometric")
     with pytest.raises(InvalidInterval):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import time
 
 import pytest
@@ -149,3 +150,15 @@ def test_panel_table_passes_share_density_evaluations(monkeypatch):
     assert len(results) > 2
     assert len(calls) == sum(r.evaluations for r in results)
     assert len(calls) == len(set(calls))
+
+    # the outer pass is the plain pass of g(y) w(y) to the bit, and each
+    # inner pass is the plain pass of (x + y) w(x) / 2 up to rounding
+    w, a, b = g.density, 0.1002, 5.09
+    table = PanelSums(w)
+    outer = lambda y: math.sin(y) + 2.0
+    assert quad(table.outer(outer), a, b) == quad(lambda y: outer(y) * w(y), a, b)
+    rng = random.Random(0)
+    for _ in range(40):
+        y = rng.uniform(a, b)
+        plain = quad(lambda x: 0.5 * (x + y) * w(x), a, b).value
+        assert quad(table.inner(y), a, b).value == pytest.approx(plain, rel=1e-14)
