@@ -9,7 +9,9 @@ Subcommands: ``mean`` (evaluate a measure-weighted mean of a set expression),
 Exit codes: 0 success, 1 verification failure (witness printed), 2 usage or
 parse error, 3 numeric failure.  Reports go to stdout as JSON (floats with
 17 significant digits) or, for ``sweep``, as CSV; ``--out PATH`` writes the
-same bytes atomically instead.
+same bytes atomically instead.  ``verify`` always prints its PASS/FAIL and
+witness lines; its ``--out PATH`` also writes, atomically, a JSON list with
+one ``{suite, cases, passed, witnesses}`` entry per suite.
 
 A module that only some subcommands use is imported when one of them runs:
 the synthesis by ``construct``, the property suites by ``verify``, and the
@@ -19,7 +21,6 @@ set-expression parser by ``mean`` and ``sweep``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -44,12 +45,9 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(obj):
-    """Coerce report objects into plain JSON-friendly structures."""
+    """Coerce witnesses into plain JSON-friendly structures."""
     if isinstance(obj, IntervalSet):
         return [list(p) for p in obj.intervals]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -486,7 +486,10 @@ def build(k: OrdinaryMean, window: tuple[float, float]) -> MeasureSpec:
     ``max(1e-9, 1e-6 |k|)``.
     """
     start = time.perf_counter()
-    lo, hi = window
+    try:
+        lo, hi = window = tuple(map(float, window))
+    except (TypeError, ValueError):
+        raise InvalidInterval(f"window must be two numbers, got {window!r}") from None
     if not (0.0 < lo < hi < math.inf):
         raise DomainError(f"window must satisfy 0 < lo < hi < inf, got {window!r}")
     _probe_mean(k, window)
@@ -556,11 +559,7 @@ def from_section(g: Callable[[float], float], cm: ConstructedMeasure,
 
     Uses the tabulated increasing primitive, with ``f(1) = 0``.
     """
-    if not (a < b):
-        raise InvalidInterval(f"from_section needs a < b, got ({a!r}, {b!r})")
-    lo, hi = cm.window
-    if not (lo < a and b < hi):
-        raise DomainError(f"({a!r}, {b!r}) outside the tabulated window {cm.window!r}")
+    [(a, b)] = cm.to_spec().require_window((a, b))
     fa, fb = cm.f(a), cm.f(b)
     return (fb * g(b) - fa * g(a)) / (fb - fa)
 

@@ -12,7 +12,6 @@ form of the two-argument mean.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ from .measures import (
     _EPS,
     MeasureSpec,
     RatioCertificate,
-    _ScaledMeasure,
+    _check_count,
     density_ratio_increasing,
 )
 from .quadrature import PanelSums, quad
@@ -70,23 +69,17 @@ def mean(spec: MeasureSpec, H: IntervalSet) -> MeanReport:
     """
     if H.is_empty:
         raise EmptySet("mean of the empty set is undefined")
-    if isinstance(spec, _ScaledMeasure):
-        r = mean(spec.base, H)
-        return MeanReport(r.value, spec.factor * r.mass, spec.factor * r.moment,
-                          r.err)
     mass, mass_err, moment, moment_err = spec._integrate(H, True)
     if not (mass > 0.0):
         raise DomainError(f"measure {spec.name!r} gave non-positive mass {mass!r}")
     value = moment / mass
     err = (moment_err + abs(value) * mass_err) / mass + 4.0 * _EPS * abs(value)
-    return MeanReport(value, mass, moment, err)
+    return MeanReport(value, spec.factor * mass, spec.factor * moment, err)
 
 
 def ordinary(spec: MeasureSpec, a: float, b: float) -> float:
     """The two-argument mean derived from the measure: mean of ``[a, b]``."""
-    if not (a < b):
-        raise InvalidInterval(f"ordinary mean needs a < b, got ({a!r}, {b!r})")
-    return mean(spec, normalize([(a, b)])).value
+    return mean(spec, spec.require_window((a, b))).value
 
 
 def avg(H: IntervalSet) -> float:
@@ -219,27 +212,15 @@ def random_interval_union(rng: random.Random, window: tuple[float, float],
     if not (lo < hi and math.isfinite(hi - lo)):
         raise InvalidInterval(
             f"window needs lo < hi and a finite width, got {window!r}")
-    if not 1 <= min_intervals <= max_intervals:
-        raise InvalidInterval("need 1 <= min_intervals <= max_intervals, got "
-                              f"{min_intervals!r} and {max_intervals!r}")
+    min_intervals = _check_count(min_intervals, "min_intervals", least=1)
+    max_intervals = _check_count(max_intervals, "max_intervals",
+                                 least=min_intervals)
     while True:
         k = rng.randint(min_intervals, max_intervals)
         pts = sorted(rng.uniform(lo, hi) for _ in range(2 * k))
         H = normalize([(pts[2 * i], pts[2 * i + 1]) for i in range(k)])
         if not H.is_empty:
             return H
-
-
-def _check_seed(seed) -> int:
-    """``seed`` as an int, or :class:`InvalidInterval` unless it is a
-    non-negative integer."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise InvalidInterval(f"seed must be an integer, got {seed!r}") from None
-    if value < 0:
-        raise InvalidInterval(f"seed must be non-negative, got {seed!r}")
-    return value
 
 
 def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
@@ -254,14 +235,11 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
     stays inconclusive.  ``rng`` is a ``random.Random``, a non-negative
     integer seed, or None for a fresh seed.
     """
-    if n_probe < 0 or n_random < 0:
-        raise InvalidInterval("n_probe and n_random must be non-negative, "
-                              f"got {n_probe!r} and {n_random!r}")
+    n_probe = _check_count(n_probe, "n_probe")
+    n_random = _check_count(n_random, "n_random")
     if not isinstance(rng, random.Random):
-        rng = random.Random(None if rng is None else _check_seed(rng))
-    lo, hi = window
-    box = normalize([(lo, hi)])
-    mu_spec.require_domain(box)
+        rng = random.Random(None if rng is None else _check_count(rng, "seed"))
+    [(lo, hi)] = box = mu_spec.require_window(window)
     nu_spec.require_domain(box)
 
     for _ in range(n_probe):
@@ -277,11 +255,11 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
                          "mean_mu": k_mu, "mean_nu": k_nu},
             )
 
-    ratio = density_ratio_increasing(nu_spec, mu_spec, window,
+    ratio = density_ratio_increasing(nu_spec, mu_spec, (lo, hi),
                                      n_probe=max(n_probe, 128))
 
     for _ in range(n_random):
-        H = random_interval_union(rng, window)
+        H = random_interval_union(rng, (lo, hi))
         v_mu = mean(mu_spec, H).value
         v_nu = mean(nu_spec, H).value
         if v_mu > v_nu + 1e-9:
@@ -313,10 +291,7 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
     limits at the interval's ends (exact).  Otherwise a refining family of
     uniform subintervals, 1 to 64 pieces, gives inner estimates.
     """
-    lo, hi = interval
-    if not (lo < hi):
-        raise InvalidInterval(f"interval needs lo < hi, got ({lo!r}, {hi!r})")
-    spec.require_domain(normalize([(lo, hi)]))
+    [(lo, hi)] = spec.require_window(interval)
     try:
         if spec.density_shape == "decreasing":
             return BoundPair(m=spec.density(hi), M=spec.density(lo), exact=True)
@@ -346,8 +321,12 @@ def infinity_sweep(spec: MeasureSpec, H: IntervalSet,
     if H.is_empty:
         raise EmptySet("sweep of the empty set is undefined")
     lo, hi = H.infimum(), H.supremum()
+    try:
+        shifts = sorted(float(s) for s in shifts)
+    except (TypeError, ValueError):
+        raise InvalidInterval(f"shifts must be real numbers, got {shifts!r}") from None
     rows = []
-    for x in sorted(float(s) for s in shifts):
+    for x in shifts:
         Hx = H.translate(x)
         v = mean(spec, Hx).value
         a = avg(Hx)
@@ -374,10 +353,7 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float) -> float:
     still refined on its own to its own tolerance; it is not replaced by the
     single-integral mean.
     """
-    if not (a < b):
-        raise InvalidInterval(f"double integral needs a < b, got ({a!r}, {b!r})")
-    box = normalize([(a, b)])
-    spec.require_domain(box)
+    [(a, b)] = spec.require_window((a, b))
     table = PanelSums(spec.density)
     mass = quad(table.mass, a, b, abs_tol=_DIM_TOL * 1e-3, rel_tol=1e-10).value
 

@@ -19,6 +19,7 @@ examples).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,8 +49,18 @@ class MeasureSpec:
     antiderivative: Optional[Callable[[float], float]] = None
     density_shape: str = "none"
     construction: object = field(default=None, compare=False, repr=False)
+    factor = 1.0  # multiplies set sums; a class constant, not a field
 
     # -- domain handling --------------------------------------------------
+
+    def require_window(self, window) -> IntervalSet:
+        """``window`` as a set: InvalidInterval unless it is a pair of finite
+        numbers ``lo < hi``, DomainError unless it lies in the domain."""
+        H = normalize([window])
+        if H.is_empty:
+            raise InvalidInterval(f"window must satisfy lo < hi, got {window!r}")
+        self.require_domain(H)
+        return H
 
     def require_domain(self, H: IntervalSet) -> None:
         pairs = H.intervals
@@ -64,7 +75,7 @@ class MeasureSpec:
 
     def mu(self, H: IntervalSet) -> float:
         """Measure of a finite interval union."""
-        return self._integrate(H, False)[0]
+        return self.factor * self._integrate(H, False)[0]
 
     def first_moment(self, H: IntervalSet) -> float:
         """Integral of the identity over ``H`` against this measure."""
@@ -77,7 +88,7 @@ class MeasureSpec:
         primitives each endpoint's ``f`` and ``F`` are evaluated once;
         otherwise both sums come from quadrature of the density.
         """
-        return self._integrate(H, True)
+        return tuple(self.factor * v for v in self._integrate(H, True))
 
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
@@ -135,24 +146,23 @@ class MeasureSpec:
         """The same measure multiplied by a positive constant.
 
         The factor multiplies set masses and moments after the primitive
-        differences are taken, and ``means.mean`` reports the base measure's
-        value and error bound unchanged.  The name, domain, density shape,
-        density and primitives derive from the base and the factor and cannot
-        be replaced; to drop the primitives, replace them on the base, then
-        scale.
+        differences are taken, by ``mu``, ``integrate`` and ``means.mean``
+        alone, so a mean's value and error bound are the base measure's.  The
+        name, domain, density shape, density and primitives derive from the
+        base and the factor and cannot be replaced; to drop the primitives,
+        replace them on the base, then scale.
         """
-        if not (c > 0.0 and math.isfinite(c)):
+        if not (hasattr(c, "__float__") and c > 0.0 and math.isfinite(c)):
             raise DomainError(f"scale must be a positive finite number, got {c!r}")
-        base, factor = ((self.base, self.factor)
-                        if isinstance(self, _ScaledMeasure) else (self, 1.0))
-        return _ScaledMeasure(base=base, factor=c * factor)
+        base = self.base if isinstance(self, _ScaledMeasure) else self
+        return _ScaledMeasure(base=base, factor=c * self.factor)
 
 
 @dataclass(frozen=True, kw_only=True)
 class _ScaledMeasure(MeasureSpec):
     """A measure times a constant: its name, domain, density shape and
-    callables derive from ``base`` and ``factor``, and evaluation delegates
-    to the base measure."""
+    callables derive from ``base`` and ``factor``, and set sums are the base
+    measure's, unscaled."""
 
     name: str = field(init=False)
     domain: tuple[float, float] = field(init=False)
@@ -176,41 +186,60 @@ class _ScaledMeasure(MeasureSpec):
 
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
-        c = self.factor
-        return tuple(c * v for v in self.base._integrate(H, with_moment))
+        return self.base._integrate(H, with_moment)
+
+
+def _check_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int, or :class:`InvalidInterval` unless it is an
+    integer of at least ``least``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidInterval(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise InvalidInterval(f"{name} must be {bound}, got {value!r}")
+    return n
 
 
 _PROBES = 33  # probe points of consistency_errors
+
+
+def _derivative(g: Callable[[float], float], x: float, lo: float, hi: float) -> float:
+    """``g'(x)`` from points in ``(lo, hi)``: closer than ``|x|`` to an end, a
+    second-order one-sided difference with step ``1e-6 |x|`` away from that
+    end, else a central one with step ``1e-6 min(max(1, |x|), x - lo, hi - x)``."""
+    near = min(x - lo, hi - x)
+    if near < abs(x):
+        h = 1e-6 * abs(x) if x - lo < hi - x else -1e-6 * abs(x)
+        return (4.0 * g(x + h) - 3.0 * g(x) - g(x + 2.0 * h)) / (2.0 * h)
+    h = 1e-6 * min(max(1.0, abs(x)), near)
+    return (g(x + h) - g(x - h)) / (2 * h)
 
 
 def consistency_errors(spec: MeasureSpec,
                        window: tuple[float, float]) -> tuple[float, float]:
     """Max relative deviation of F' from f and of f' from w on a probe grid.
 
-    Derivatives are central differences with step
-    ``1e-6 * min(max(1, |x|), x - lo, hi - x)``, with ``(lo, hi)`` the spec's
-    domain, so every probe stays inside the domain.
+    Derivatives are finite differences from points inside the spec's domain:
+    central ones, or one-sided next to a finite end (see :func:`_derivative`).
     Returns ``(0, 0)`` components for primitives that are absent.  A window
     outside the domain, or where the density or a primitive leaves double
     range, raises ``DomainError``.
     """
-    a, b = window
-    if not (a < b):
-        raise InvalidInterval(f"window must satisfy lo < hi, got {window!r}")
-    spec.require_domain(normalize([window]))
+    [(a, b)] = spec.require_window(window)
     lo, hi = spec.domain
     xs = [a + (b - a) * (i + 0.5) / _PROBES for i in range(_PROBES)]
     err_Ff = 0.0
     err_fw = 0.0
     try:
         for x in xs:
-            h = 1e-6 * min(max(1.0, abs(x)), x - lo, hi - x)
             if spec.cdf is not None and spec.antiderivative is not None:
-                fd = (spec.antiderivative(x + h) - spec.antiderivative(x - h)) / (2 * h)
+                fd = _derivative(spec.antiderivative, x, lo, hi)
                 f = spec.cdf(x)
                 err_Ff = max(err_Ff, abs(fd - f) / max(abs(f), 1e-300))
             if spec.cdf is not None:
-                fd = (spec.cdf(x + h) - spec.cdf(x - h)) / (2 * h)
+                fd = _derivative(spec.cdf, x, lo, hi)
                 w = spec.density(x)
                 err_fw = max(err_fw, abs(fd - w) / max(abs(w), 1e-300))
     except (OverflowError, ZeroDivisionError):
@@ -242,14 +271,9 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
     a density shape; with undeclared shapes a clean grid is "inconclusive".
     A decrease on the grid refutes with the witness pair.
     """
-    a, b = interval
-    if not (a < b):
-        raise InvalidInterval(f"interval must satisfy lo < hi, got {interval!r}")
-    if n_probe < 2:
-        raise InvalidInterval(f"need at least two probe points, got {n_probe!r}")
-    box = normalize([interval])
-    numer.require_domain(box)
+    [(a, b)] = box = numer.require_window(interval)
     denom.require_domain(box)
+    n_probe = _check_count(n_probe, "n_probe", least=2)
     xs = [a + (b - a) * i / (n_probe - 1) for i in range(n_probe)]
     ratios = []
     try:

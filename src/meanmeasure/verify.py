@@ -15,14 +15,12 @@ acceptance tests both run these.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
 
 from .errors import EmptySet, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet, normalize
 from .means import (
-    _check_seed,
     avg,
     cantor_probe,
     certify_leq,
@@ -32,7 +30,7 @@ from .means import (
     pseudo_metric,
     random_interval_union,
 )
-from .measures import catalog
+from .measures import _check_count, catalog
 
 _WINDOWS = {
     "lebesgue": (-50.0, 50.0),
@@ -229,6 +227,8 @@ def counterexample_unbounded_window(delta: float = 0.01) -> dict:
     With H1 = [0, 1] and H2 = H1 plus a delta-length interval at 1/delta,
     the pseudo-metric distance is delta but the centroid jumps above 0.75.
     """
+    if not delta > 0.0:
+        raise InvalidInterval(f"delta must be positive, got {delta!r}")
     leb = catalog("lebesgue")
     H1 = normalize([(0.0, 1.0)])
     H2 = H1.union(normalize([(1.0 / delta, 1.0 / delta + delta)]))
@@ -283,13 +283,8 @@ def run_suites(names=None, cases: int = 500, seed: int = 0) -> list[SuiteResult]
             raise UnknownMeasure(
                 f"unknown suite {name!r}; choose from {', '.join(ALL_SUITES)}"
             )
-    try:
-        cases = operator.index(cases)
-    except TypeError:
-        raise InvalidInterval(f"cases must be an integer, got {cases!r}") from None
-    if cases < 1:
-        raise InvalidInterval(f"cases must be at least 1, got {cases!r}")
-    seed = _check_seed(seed)
+    cases = _check_count(cases, "cases", least=1)
+    seed = _check_count(seed, "seed")
     results = []
     for i, name in enumerate(chosen):
         out = SuiteResult(name, cases)

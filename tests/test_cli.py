@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import ast
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import random
 
 import pytest
 
-from meanmeasure import EmptySet, UnknownMeasure, build, normalize, ordinary_mean
+from meanmeasure import (EmptySet, MeanReport, UnknownMeasure, build, normalize,
+                         ordinary_mean, verify)
 from meanmeasure.cli import main
 from meanmeasure.verify import _disjoint_sample, run_suites
 
@@ -186,6 +188,32 @@ def test_verify_command_small(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "internality: PASS (25 cases)"
     assert lines[1] == "weighted-decomposition: PASS (25 cases)"
+
+
+def test_verify_failure_prints_witnesses_and_out_writes_them(tmp_path, capsys,
+                                                             monkeypatch):
+    # a mean past the set's supremum fails internality on every case
+    monkeypatch.setattr(verify, "mean", lambda spec, H: MeanReport(
+        H.supremum() + 1.0, 1.0, 1.0, 0.0))
+    target = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--suites",
+                       "internality,weighted-decomposition", "--cases", "2",
+                       "--out", str(target))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "internality: FAIL (2 cases)"
+    assert lines[3] == "weighted-decomposition: PASS (2 cases)"
+    witnesses = [ast.literal_eval(line.removeprefix("  witness: "))
+                 for line in lines[1:3]]
+    for w in witnesses:
+        assert w["mean"] == w["set"][-1][1] + 1.0
+    payload = json.loads(target.read_text())
+    assert payload == [
+        {"suite": "internality", "cases": 2, "passed": False,
+         "witnesses": witnesses},
+        {"suite": "weighted-decomposition", "cases": 2, "passed": True,
+         "witnesses": []},
+    ]
 
 
 def test_verify_unknown_suite(capsys):

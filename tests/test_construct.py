@@ -12,6 +12,7 @@ import pytest
 from meanmeasure import (
     DomainError,
     EmptySet,
+    InvalidInterval,
     MeasureSpec,
     NotIncreasing,
     NotStrictlyInternal,
@@ -225,11 +226,19 @@ def test_window_reaching_infinity_is_a_domain_error():
         build(ordinary_mean("geometric"), (1.0, math.inf))
 
 
+@pytest.mark.parametrize("window", [(1.0, "x"), 5, (1, 2, 3)], ids=str)
+def test_window_that_is_not_two_numbers_is_an_invalid_interval(window):
+    # each was once a bare TypeError or ValueError
+    with pytest.raises(InvalidInterval, match="two numbers"):
+        build(ordinary_mean("geometric"), window)
+
+
 @pytest.mark.parametrize("window", [(3.999999, 3.9999999), (0.5000001, 0.500001)])
 def test_consistency_probes_near_the_window_ends_stay_inside_it(window):
-    # a probe step of 1e-6 * max(1, |x|) once left the tabulated window here
+    # a probe step of 1e-6 * max(1, |x|) once left the tabulated window here,
+    # and a central step shrinking toward the end once read 2e-3 of rounding
     spec = build(ordinary_mean("geometric"), (0.5, 4.0))
-    assert all(map(math.isfinite, consistency_errors(spec, window)))
+    assert max(consistency_errors(spec, window)) <= 1e-8
 
 
 def test_build_calls_mean_a_few_hundred_times():
@@ -536,6 +545,12 @@ def test_from_section(built):
     got = from_section(lambda x: 0.5 * (1.0 + x),
                        built["arithmetic"].construction, 1.0, 1.0 + 1e-9)
     assert got == pytest.approx(1.0, rel=1e-6)
+    cm = built["geometric"].construction
+    for a, b in [("a", 2.0), (2.0, 2.0)]:  # the first was once a bare TypeError
+        with pytest.raises(InvalidInterval):
+            from_section(math.sqrt, cm, a, b)
+    with pytest.raises(DomainError):
+        from_section(math.sqrt, cm, 0.5, 2.0 * cm.window[1])
 
 
 def test_from_section_agrees_with_reconstruct(built):

@@ -319,6 +319,8 @@ def test_infinity_sweep_geometric():
     assert rows[2].ratio_bound == pytest.approx(1.0001499887506875, rel=1e-12)
     with pytest.raises(DomainError):
         infinity_sweep(catalog("geometric"), normalize([(1, 2)]), [-5.0])
+    with pytest.raises(InvalidInterval, match="shifts"):  # once a bare ValueError
+        infinity_sweep(catalog("geometric"), normalize([(1, 2)]), ["x"])
 
 
 def test_double_integral_examples():

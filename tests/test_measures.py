@@ -15,10 +15,14 @@ from meanmeasure import (
     QuadratureError,
     UnknownMeasure,
     catalog,
+    certify_leq,
     consistency_errors,
     density_ratio_increasing,
+    double_integral_mean,
+    m_bound,
     mean,
     normalize,
+    ordinary,
     quad,
     random_interval_union,
 )
@@ -360,12 +364,50 @@ def test_consistency_probes_near_zero_stay_in_the_domain(name, window,
     assert err_fw <= bound_fw
 
 
-def test_reversed_windows_are_invalid_intervals():
-    g = catalog("geometric")
+_G, _LEB = catalog("geometric"), catalog("lebesgue")
+# each function that takes a window, called on a window ``w``
+_WINDOW_TAKERS = {
+    "consistency_errors": lambda w: consistency_errors(_G, w),
+    "density_ratio_increasing": lambda w: density_ratio_increasing(_G, _LEB, w),
+    "m_bound": lambda w: m_bound(_G, w),
+    "certify_leq": lambda w: certify_leq(_G, _LEB, w, rng=0),
+    "ordinary": lambda w: ordinary(_G, *w),
+    "double_integral_mean": lambda w: double_integral_mean(_G, *w),
+}
+
+
+_BAD_WINDOWS = {"reversed": (4, 1), "empty": (2, 2), "nan": (math.nan, 1),
+                "non-number": ("x", 2), "three-ends": (1, 2, 3)}
+
+
+# the last two take the ends as two arguments, so no 3-tuple reaches them;
+# a non-number end once escaped as a bare TypeError, a 3-tuple as a ValueError
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in _WINDOW_TAKERS for bad in _BAD_WINDOWS
+    if bad != "three-ends" or name not in ("ordinary", "double_integral_mean")
+])
+def test_bad_windows_are_invalid_intervals(name, bad):
     with pytest.raises(InvalidInterval):
-        consistency_errors(g, (4.0, 1.0))
+        _WINDOW_TAKERS[name](_BAD_WINDOWS[bad])
+
+
+# once a bare TypeError from range or a bare ValueError from randrange
+@pytest.mark.parametrize("call", [
+    lambda n: certify_leq(_G, _LEB, (0.1, 100.0), n_probe=n, rng=0),
+    lambda n: certify_leq(_G, _LEB, (0.1, 100.0), n_random=n, rng=0),
+    lambda n: certify_leq(_G, _LEB, (0.1, 100.0), rng=n),
+    lambda n: density_ratio_increasing(_G, _LEB, (0.1, 100.0), n_probe=n),
+    lambda n: random_interval_union(random.Random(0), (0.1, 100.0),
+                                    min_intervals=n),
+    lambda n: random_interval_union(random.Random(0), (0.1, 100.0),
+                                    max_intervals=n),
+], ids=["certify_leq-n_probe", "certify_leq-n_random", "certify_leq-seed",
+        "density_ratio_increasing-n_probe", "random_interval_union-min",
+        "random_interval_union-max"])
+@pytest.mark.parametrize("count", [2.5, "3", -1])
+def test_bad_counts_are_invalid_intervals(call, count):
     with pytest.raises(InvalidInterval):
-        density_ratio_increasing(g, catalog("lebesgue"), (4.0, 1.0))
+        call(count)
 
 
 def test_scaled_measure():
@@ -374,8 +416,9 @@ def test_scaled_measure():
     H = normalize([(1, 4)])
     assert g3.mu(H) == pytest.approx(3.0 * g.mu(H), rel=1e-15)
     assert g3.first_moment(H) == pytest.approx(3.0 * g.first_moment(H), rel=1e-15)
-    with pytest.raises(DomainError):
-        g.scaled(-1.0)
+    for c in (-1.0, "2", None):  # a string or None was once a bare TypeError
+        with pytest.raises(DomainError, match="scale"):
+            g.scaled(c)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -49,6 +49,13 @@ def test_dmu_continuity_checks_the_counterexample(monkeypatch):
     assert internality.passed
 
 
+def test_counterexample_needs_a_positive_delta():
+    # delta = 0 once raised a bare ZeroDivisionError
+    for delta in (0.0, -0.01):
+        with pytest.raises(InvalidInterval, match="delta"):
+            verify.counterexample_unbounded_window(delta)
+
+
 def test_suite_at_position_i_is_seeded_with_seed_plus_101_i(monkeypatch):
     log = []
     real_mean, real_draw = verify.mean, verify.random_interval_union
