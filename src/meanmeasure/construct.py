@@ -373,7 +373,11 @@ def _probe_mean(k: OrdinaryMean, window: tuple[float, float]) -> None:
     lo, hi = window
     pts = [math.exp(v) for v in _linspace(math.log(lo), math.log(hi), 9)]
     for a, b in itertools.combinations(pts, 2):
-        kab, kba = k(a, b), k(b, a)
+        try:
+            kab, kba = k(a, b), k(b, a)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"mean {k.name!r} overflows double precision at "
+                              f"({a!r}, {b!r})") from None
         if abs(kab - kba) > 1e-12 * (1.0 + abs(kab)):
             raise NotSymmetric(
                 f"mean {k.name!r} is not symmetric at ({a!r}, {b!r})"

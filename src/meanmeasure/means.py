@@ -74,7 +74,7 @@ def mean(spec: MeasureSpec, H: IntervalSet) -> MeanReport:
         raise DomainError(f"measure {spec.name!r} gave non-positive mass {mass!r}")
     value = moment / mass
     err = (moment_err + abs(value) * mass_err) / mass + 4.0 * _EPS * abs(value)
-    return MeanReport(value, spec.factor * mass, spec.factor * moment, err)
+    return MeanReport(value, *spec._scaled(mass, moment), err)
 
 
 def ordinary(spec: MeasureSpec, a: float, b: float) -> float:
@@ -355,11 +355,17 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float) -> float:
     """
     [(a, b)] = spec.require_window((a, b))
     table = PanelSums(spec.density)
-    mass = quad(table.mass, a, b, abs_tol=_DIM_TOL * 1e-3, rel_tol=1e-10).value
 
     def inner(y: float) -> float:
         return quad(table.inner(y), a, b, abs_tol=_DIM_TOL * 1e-3,
                     rel_tol=1e-10).value
 
-    outer = quad(table.outer(inner), a, b, abs_tol=_DIM_TOL * 1e-2, rel_tol=1e-9)
-    return outer.value / (mass * mass)
+    try:
+        mass = quad(table.mass, a, b, abs_tol=_DIM_TOL * 1e-3, rel_tol=1e-10).value
+        outer = quad(table.outer(inner), a, b, abs_tol=_DIM_TOL * 1e-2,
+                     rel_tol=1e-9)
+        return outer.value / (mass * mass)
+    except (OverflowError, ZeroDivisionError):
+        # a density or a sum past double range, or a squared mass underflowed
+        raise DomainError(f"double integral of {spec.name!r} on ({a!r}, {b!r}) "
+                          "overflows double precision") from None

@@ -75,7 +75,7 @@ class MeasureSpec:
 
     def mu(self, H: IntervalSet) -> float:
         """Measure of a finite interval union."""
-        return self.factor * self._integrate(H, False)[0]
+        return self._scaled(self._integrate(H, False)[0])[0]
 
     def first_moment(self, H: IntervalSet) -> float:
         """Integral of the identity over ``H`` against this measure."""
@@ -88,7 +88,7 @@ class MeasureSpec:
         primitives each endpoint's ``f`` and ``F`` are evaluated once;
         otherwise both sums come from quadrature of the density.
         """
-        return tuple(self.factor * v for v in self._integrate(H, True))
+        return self._scaled(*self._integrate(H, True))
 
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
@@ -109,7 +109,8 @@ class MeasureSpec:
                 for lo, hi in pairs:
                     r = quad(table.mass, lo, hi)
                     mass += r.value
-                    mass_err += r.error_estimate
+                    # plus the rounding quad misses, as in the moment pass
+                    mass_err += r.error_estimate + _EPS * abs(r.value)
                     if with_moment:
                         m = quad(table.moment, lo, hi)
                         moment += m.value
@@ -142,13 +143,17 @@ class MeasureSpec:
                               "overflows double precision on this set")
         return mass, mass_err, moment, moment_err
 
+    def _scaled(self, *sums: float) -> tuple[float, ...]:
+        """Set sums times the factor, which is 1 here."""
+        return sums
+
     def scaled(self, c: float) -> "MeasureSpec":
         """The same measure multiplied by a positive constant.
 
         The factor multiplies set masses and moments after the primitive
         differences are taken, by ``mu``, ``integrate`` and ``means.mean``
-        alone, so a mean's value and error bound are the base measure's.  The
-        name, domain, density shape, density and primitives derive from the
+        alone, so a mean's value and error bound are the base measure's; a
+        scaled sum past double range raises DomainError.  The name, domain, density shape, density and primitives derive from the
         base and the factor and cannot be replaced; to drop the primitives,
         replace them on the base, then scale.
         """
@@ -187,6 +192,13 @@ class _ScaledMeasure(MeasureSpec):
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
         return self.base._integrate(H, with_moment)
+
+    def _scaled(self, *sums: float) -> tuple[float, ...]:
+        out = tuple(self.factor * v for v in sums)
+        if not all(map(math.isfinite, out)):
+            raise DomainError(f"mass or first moment of {self.name!r} "
+                              "overflows double precision on this set")
+        return out
 
 
 def _check_count(value, name: str, least: int = 0) -> int:

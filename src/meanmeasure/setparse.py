@@ -10,89 +10,92 @@ Grammar::
 
 Every sub-expression is closed, so the parser evaluates it as it reads it:
 numbers become floats and sets become canonical :class:`IntervalSet` values.
-Syntax errors carry the byte offset of the offending token.
+It reads one token ahead and reports the first error in reading order, a
+stray character included.  Syntax errors carry the byte offset of the
+offending token.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import InvalidInterval, ParseError
 from .intervals import IntervalSet, normalize
 
+# every position matches: a token, the end of the input, or one bad character
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[\[\](),+\-*/^]))"
+    r"|(?P<sym>[\[\](),+\-*/^])|(?P<end>\Z)|(?P<bad>\S))"
 )
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 _FUNCTIONS = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log}
+# binding level of each binary operator; "^" alone is right-associative, and
+# unary minus takes its operand at the "^" level, so -2^2 is -4
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "ident" | "sym" | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        for kind in ("number", "ident", "sym"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(Token(kind, val, m.start(kind)))
-                break
-        pos = m.end()
-    tokens.append(Token("end", "", len(text)))
-    return tokens
+def _apply(op: str, a: float, b: float, op_at: int, rhs_at: int) -> float:
+    """``a op b``; a zero divisor is reported at ``rhs_at``, a failed power
+    at the operator's offset ``op_at``."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0.0:
+            raise ParseError("division by zero", rhs_at)
+        return a / b
+    try:
+        value = a ** b
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot raise {a!r} to {b!r}: {exc}", op_at) from None
+    if isinstance(value, complex):  # a negative base to a fractional power
+        raise ParseError(f"cannot raise {a!r} to {b!r}: the power is not real",
+                         op_at)
+    return value
 
 
 class _Parser:
+    """Recursive descent over ``text`` with one token of lookahead: ``kind``
+    (a group name of ``_TOKEN_RE``), ``tok`` and its offset ``at``."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.end = 0
+        self.advance()
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def advance(self) -> None:
+        m = _TOKEN_RE.match(self.text, self.end)
+        self.kind = m.lastgroup
+        self.tok, self.at, self.end = m[self.kind], m.start(self.kind), m.end()
+        if self.kind == "bad":
+            raise ParseError(f"unexpected character {self.tok!r}", self.at)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def found(self) -> str:
+        return repr(self.tok or "end of input")
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.offset)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tok != text:
+            raise ParseError(f"expected {text!r}, found {self.found()}", self.at)
+        self.advance()
 
     # -- set level ---------------------------------------------------------
 
     def parse_set(self) -> IntervalSet:
         pairs = list(self.parse_term())
-        while self.peek().kind == "ident" and self.peek().text == "U":
+        while self.tok == "U":
             self.advance()
             pairs.extend(self.parse_term())
         return normalize(pairs)
 
     def parse_term(self) -> IntervalSet:
-        tok = self.peek()
-        if tok.text == "[":
+        if self.tok == "[":
             self.advance()
             lo = self.parse_num()
             self.expect(",")
@@ -103,89 +106,57 @@ class _Parser:
                     f"interval needs lo < hi, got [{lo!r}, {hi!r}]"
                 )
             return normalize([(lo, hi)])
-        if tok.text == "(":
+        if self.tok == "(":
             self.advance()
             inner = self.parse_set()
             self.expect(")")
             self.expect("+")
             return inner.translate(self.parse_num())
-        raise ParseError(f"expected '[' or '(', found {tok.text or 'end of input'!r}",
-                         tok.offset)
+        raise ParseError(f"expected '[' or '(', found {self.found()}", self.at)
 
     # -- numeric level (precedence climbing) --------------------------------
 
-    def parse_num(self) -> float:
-        value = self.parse_product()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            rhs = self.parse_product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_product(self) -> float:
-        value = self.parse_unary()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            tok = self.peek()
-            rhs = self.parse_unary()
-            if op == "/":
-                if rhs == 0.0:
-                    raise ParseError("division by zero", tok.offset)
-                value = value / rhs
-            else:
-                value = value * rhs
-        return value
-
-    def parse_unary(self) -> float:
-        if self.peek().text == "-":
+    def parse_num(self, level: int = 1) -> float:
+        """A number whose binary operators all bind at ``level`` or tighter."""
+        if self.tok == "-":
             self.advance()
-            return -self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> float:
-        base = self.parse_atom()
-        if self.peek().text == "^":
-            tok = self.advance()
-            exponent = self.parse_unary()  # right-associative
-            try:
-                value = base ** exponent
-            except (OverflowError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"cannot raise {base!r} to {exponent!r}: {exc}",
-                                 tok.offset) from None
-            if isinstance(value, complex):  # a negative base to a fractional power
-                raise ParseError(f"cannot raise {base!r} to {exponent!r}: the "
-                                 f"power is not real", tok.offset)
-            return value
-        return base
+            value = -self.parse_num(3)
+        else:
+            value = self.parse_atom()
+        while _PRECEDENCE.get(self.tok, 0) >= level:
+            op, op_at = self.tok, self.at
+            self.advance()
+            rhs_at = self.at
+            rhs = self.parse_num(3 if op == "^" else _PRECEDENCE[op] + 1)
+            value = _apply(op, value, rhs, op_at, rhs_at)
+        return value
 
     def parse_atom(self) -> float:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, name, at = self.kind, self.tok, self.at
+        if kind == "number":
             self.advance()
-            return float(tok.text)
-        if tok.kind == "ident":
-            if tok.text in _CONSTANTS:
+            return float(name)
+        if kind == "ident":
+            if name in _CONSTANTS:
                 self.advance()
-                return _CONSTANTS[tok.text]
-            if tok.text in _FUNCTIONS:
-                self.advance()
-                self.expect("(")
-                arg = self.parse_num()
-                close = self.peek()
-                self.expect(")")
-                try:
-                    return _FUNCTIONS[tok.text](arg)
-                except (OverflowError, ValueError) as exc:
-                    raise ParseError(f"{tok.text}({arg!r}): {exc}",
-                                     close.offset) from None
-            raise ParseError(f"unknown name {tok.text!r}", tok.offset)
-        if tok.text == "(":
+                return _CONSTANTS[name]
+            if name not in _FUNCTIONS:
+                raise ParseError(f"unknown name {name!r}", at)
+            self.advance()
+            self.expect("(")
+            arg = self.parse_num()
+            close = self.at
+            self.expect(")")
+            try:
+                return _FUNCTIONS[name](arg)
+            except (OverflowError, ValueError) as exc:
+                raise ParseError(f"{name}({arg!r}): {exc}", close) from None
+        if name == "(":
             self.advance()
             value = self.parse_num()
             self.expect(")")
             return value
-        raise ParseError(f"expected a number, found {tok.text or 'end of input'!r}",
-                         tok.offset)
+        raise ParseError(f"expected a number, found {self.found()}", at)
 
 
 def parse_set(text: str) -> IntervalSet:
@@ -193,14 +164,12 @@ def parse_set(text: str) -> IntervalSet:
 
     Raises :class:`ParseError` with a byte offset for bad syntax, and
     :class:`InvalidInterval` for a reversed interval or a non-finite endpoint
-    or shift.
+    or shift; the first error in reading order wins.
     """
     if not text.strip():
         raise ParseError("empty set expression", 0)
     parser = _Parser(text)
     H = parser.parse_set()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.offset)
+    if parser.kind != "end":
+        raise ParseError(f"trailing input {parser.tok!r}", parser.at)
     return H
-

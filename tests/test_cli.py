@@ -10,7 +10,7 @@ import pytest
 
 from meanmeasure import (EmptySet, MeanReport, UnknownMeasure, build, normalize,
                          ordinary_mean, verify)
-from meanmeasure.cli import main
+from meanmeasure.cli import _fmt, main
 from meanmeasure.verify import _disjoint_sample, run_suites
 
 
@@ -104,11 +104,26 @@ def test_numeric_error_exit_three(capsys):
 @pytest.mark.parametrize("argv", [
     ("mean", "--measure", "harmonic", "--set", "[1e-200,1e-100]"),
     ("construct", "--mean", "arithmetic", "--window", "1e-300,1e300"),
+    # a ** p of the power mean overflows while the mean is probed
+    ("construct", "--mean", "power:-1e6"),
 ])
 def test_overflow_is_a_numeric_failure(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("numeric failure:") and "overflows" in err
+
+
+@pytest.mark.parametrize("shifts", [",", "1,x"])
+def test_bad_shift_lists_are_usage_errors(capsys, shifts):
+    code, out, err = run(capsys, "sweep", "--measure", "geometric",
+                         "--set", "[1,2]", "--shifts", shifts)
+    assert (code, out) == (2, "")
+    assert "shift list" in err
+
+
+def test_fmt_spells_out_non_finite_values():
+    assert [_fmt(v) for v in (math.nan, math.inf, -math.inf, 0.1)] == \
+        ["NaN", "Infinity", "-Infinity", "0.10000000000000001"]
 
 
 def test_unknown_measure_is_usage_error():

@@ -472,6 +472,12 @@ def test_built_primitives_refuse_points_off_the_positive_axis():
                 fn(x)
 
 
+def test_one_sided_build_has_no_branch_on_the_other_side():
+    cm = build(ordinary_mean("geometric"), (2.0, 8.0)).construction
+    with pytest.raises(DomainError, match="no branch below 1 was tabulated"):
+        cm.f(0.5)
+
+
 def test_built_mean_is_bit_identical_to_primitive_calls():
     # without its construction the same spec calls cdf and antiderivative apart
     rng = random.Random(47)
@@ -597,6 +603,19 @@ def test_uniqueness_rejects_different_means():
     assert result.witness is not None
 
 
+def test_uniqueness_witnesses_a_ratio_spread():
+    # 1 + x^2 is even, so its means of intervals symmetric about 0 are 0, as
+    # Lebesgue's are, but the mass ratio is 4/3 on one and 7/3 on the other,
+    # a spread of 1 about their average 11/6
+    even = MeasureSpec("even", (-math.inf, math.inf), lambda x: 1.0 + x * x)
+    probes = [normalize([(-1.0, 1.0)]), normalize([(-2.0, 2.0)])]
+    result = uniqueness_check(catalog("lebesgue"), even, probes)
+    assert not result.proportional
+    lo, hi = result.witness["ratios"]
+    assert (lo, hi) == (pytest.approx(4 / 3), pytest.approx(7 / 3))
+    assert result.witness["rel_spread"] == pytest.approx(6 / 11)
+
+
 def test_uniqueness_recovers_built_measure_scale(built):
     g = catalog("geometric")
     probes = [normalize([(1, 2)]), normalize([(2.5, 7)]),
@@ -660,6 +679,9 @@ def test_build_rejects_bad_means():
         build(edge, WINDOW)
     with pytest.raises(DomainError):
         build(ordinary_mean("geometric"), (-1.0, 4.0))
+    # a ** p overflows at the first probe pair
+    with pytest.raises(DomainError, match="overflows"):
+        build(ordinary_mean("power:-1e6"), (0.5, 4.0))
 
 
 def test_lehmer_means_are_rejected_before_tabulating():

@@ -198,7 +198,7 @@ def test_shared_panels_match_two_quad_passes(name):
             r = quad(w, lo, hi)
             m = quad(lambda x: x * w(x), lo, hi)
             mass += r.value
-            mass_err += r.error_estimate
+            mass_err += r.error_estimate + measures._EPS * r.value
             moment += m.value
             moment_err += (m.error_estimate
                            + measures._EPS * max(abs(lo), abs(hi)) * r.value)
@@ -419,6 +419,42 @@ def test_scaled_measure():
     for c in (-1.0, "2", None):  # a string or None was once a bare TypeError
         with pytest.raises(DomainError, match="scale"):
             g.scaled(c)
+
+
+def test_scaled_sums_past_double_range_are_domain_errors():
+    # the base measure's sums are finite here; times 1e308 they are not
+    spec, H = catalog("geometric").scaled(1e308), normalize([(1e-10, 2.0)])
+    for call in (spec.mu, spec.integrate, lambda H: mean(spec, H)):
+        with pytest.raises(DomainError, match="overflows"):
+            call(H)
+
+
+@pytest.mark.parametrize("name, window", [
+    ("geometric", (1e-3, 1e308)),    # the squared mass underflows to 0
+    ("harmonic", (1e-3, 1e308)),     # x ** 3 overflows
+    ("logarithmic", (1e-3, 1e308)),  # an fsum overflows
+    ("lebesgue", (-1e308, 1e308)),
+])
+def test_double_integral_past_double_range_is_a_domain_error(name, window):
+    with pytest.raises(DomainError, match="overflows"):
+        double_integral_mean(catalog(name), *window)
+
+
+@pytest.mark.parametrize("name, window", [
+    ("lebesgue", (1.1, 7.3)), ("square", (1.1, 7.3)), ("geometric", (3.3, 3.7)),
+])
+def test_quadrature_mass_err_covers_its_rounding(name, window):
+    # Kronrod and Gauss agree here, so quad's own estimate is 0; the mass
+    # pass adds the rounding of each interval's sum, as the moment pass does
+    mp = pytest.importorskip("mpmath")
+    spec = dataclasses.replace(catalog(name), cdf=None, antiderivative=None)
+    f = {"lebesgue": lambda x: x, "square": lambda x: x * x,
+         "geometric": lambda x: (1 - 1 / mp.sqrt(x)) / mp.e ** 2}[name]
+    mass, mass_err, _, _ = spec.integrate(normalize([window]))
+    with mp.workdps(40):
+        a, b = mp.mpf(window[0]), mp.mpf(window[1])
+        actual = float(abs(mass - (f(b) - f(a))))
+    assert 0.0 < actual <= mass_err
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -114,6 +114,20 @@ def test_one_panel_budget_missed_raises_with_the_panel():
     assert exc_info.value.result == first
 
 
+def test_panels_too_narrow_to_bisect_end_the_pass():
+    # a jump at 0.5 on two ulps: the first bisection leaves two one-ulp
+    # panels, whose midpoints round to an end, so nothing is left to refine
+    with pytest.raises(QuadratureError) as exc_info:
+        quad(lambda x: math.copysign(1.0, x - 0.5), math.nextafter(0.5, 0.0),
+             math.nextafter(0.5, 1.0), abs_tol=0, rel_tol=0)
+    partial = exc_info.value.result
+    assert partial.evaluations == 45 and partial.error_estimate > 0.0
+    # a jump on a panel that bisects exactly at it: both halves are exact
+    r = quad(lambda x: math.copysign(1.0, x - 0.5), 0.5 - 2 ** -40,
+             0.5 + 2 ** -40, abs_tol=0, rel_tol=0)
+    assert (r.value, r.error_estimate, r.evaluations) == (0.0, 0.0, 45)
+
+
 def test_result_is_an_immutable_record():
     r = quad(math.exp, 0.0, 1.0)
     assert abs(r.value - (math.e - 1.0)) <= 1e-15

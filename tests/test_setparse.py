@@ -1,6 +1,7 @@
 """Set-expression grammar, the sets it denotes, errors with byte offsets."""
 
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,9 @@ EXACT = {
     "[0.1, sqrt(2)]": ((0.1, 1.4142135623730951),),
     "(([1,2]) + -pi) + 1e-3": ((-2.1405926535897932, -1.1405926535897932),),
     "[1,2] U [4, 8] U [16, 32]": ((1.0, 2.0), (4.0, 8.0), (16.0, 32.0)),
+    # "-" is left-associative; unary minus binds looser than "^"
+    "[10 - 2 - 3, -2^2 + 10]": ((5.0, 6.0),),
+    "[2*-3, --2]": ((-6.0, 2.0),),
 }
 
 
@@ -91,3 +95,14 @@ def test_non_finite_endpoint_reported_before_later_syntax_error():
         parse_set("[1,2] U [1,1e400] U [3")
     with pytest.raises(InvalidInterval, match="non-finite translation"):
         parse_set("([1,2]) + 1e400 U [3")
+
+
+@pytest.mark.parametrize("text,message,offset", [
+    ("[1,2] @", "unexpected character '@'", 6),
+    # errors come in reading order: the ',' before the stray '@' after it
+    ("[1,,2] @", "expected a number, found ','", 3),
+])
+def test_errors_are_reported_in_reading_order(text, message, offset):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_set(text)
+    assert err.value.offset == offset
