@@ -57,7 +57,6 @@ from .measures import (
     MeasureSpec,
     RatioCertificate,
     catalog,
-    consistency_errors,
     density_ratio_increasing,
 )
 from .quadrature import QuadratureResult, quad
@@ -115,7 +114,6 @@ __all__ = [
     "cantor_probe",
     "catalog",
     "certify_leq",
-    "consistency_errors",
     "decompose_check",
     "density_ratio_increasing",
     "double_integral_mean",

@@ -7,11 +7,12 @@ Subcommands: ``mean`` (evaluate a measure-weighted mean of a set expression),
 ``verify`` (run the randomized property suites).
 
 Exit codes: 0 success, 1 verification failure (witness printed), 2 usage or
-parse error, 3 numeric failure.  Reports go to stdout as JSON (floats with
-17 significant digits) or, for ``sweep``, as CSV; ``--out PATH`` writes the
-same bytes atomically instead.  ``verify`` always prints its PASS/FAIL and
-witness lines; its ``--out PATH`` also writes, atomically, a JSON list with
-one ``{suite, cases, passed, witnesses}`` entry per suite.
+parse error (an ``--out`` path that cannot be written too), 3 numeric
+failure.  Reports go to stdout as JSON (floats with 17 significant digits)
+or, for ``sweep``, as CSV; ``--out PATH`` writes the same bytes atomically
+instead.  ``verify`` always prints its PASS/FAIL and witness lines; its
+``--out PATH`` also writes, atomically, a JSON list with one
+``{suite, cases, passed, witnesses}`` entry per suite.
 
 A module that only some subcommands use is imported when one of them runs:
 the synthesis by ``construct``, the property suites by ``verify``, and the
@@ -30,7 +31,12 @@ from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
 from .measures import CATALOG_NAMES, catalog
 
-_USAGE_ERRORS = (ParseError, InvalidInterval, UnknownMeasure)
+
+class _Unwritable(MeanMeasureError):
+    """An ``--out`` path that cannot be written: a usage error."""
+
+
+_USAGE_ERRORS = (ParseError, InvalidInterval, UnknownMeasure, _Unwritable)
 
 
 # -- deterministic emitters ---------------------------------------------------
@@ -93,15 +99,17 @@ def _emit(text: str, out_path) -> None:
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meanmeasure-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meanmeasure-")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {out_path!r}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _parse_window(text: str) -> tuple[float, float]:

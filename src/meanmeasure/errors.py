@@ -50,7 +50,7 @@ class ParseError(MeanMeasureError):
 
 
 class QuadratureError(MeanMeasureError):
-    """Adaptive integration ran out of panel budget. Carries the partial result."""
+    """Adaptive integration stopped short of its tolerance. Carries the partial result."""
 
     def __init__(self, message, result=None):
         super().__init__(message)

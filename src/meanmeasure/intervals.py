@@ -131,8 +131,10 @@ def normalize(raw) -> IntervalSet:
     compare exactly as floats, there is no epsilon merging.
     """
     cleaned = []
+    pair = raw  # named by the message until the loop reads an item
     try:
-        for lo, hi in raw:
+        for pair in raw:
+            lo, hi = pair
             lo = float(lo)
             hi = float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -143,7 +145,7 @@ def normalize(raw) -> IntervalSet:
                 cleaned.append((lo, hi))
     except (TypeError, ValueError, OverflowError):
         raise InvalidInterval(f"expected a pair (lo, hi) of real numbers, "
-                              f"got {_bad_pair(raw)!r}") from None
+                              f"got {pair!r}") from None
     cleaned.sort()
     return _merged(cleaned)
 
@@ -159,19 +161,6 @@ def _merged(pairs) -> IntervalSet:
         else:
             merged.append((lo, hi))
     return IntervalSet(tuple(merged))
-
-
-def _bad_pair(raw):
-    """The first item of ``raw`` that is not a pair of real numbers, found
-    again after :func:`normalize`'s loop failed; ``raw`` itself when it is
-    not a list or tuple."""
-    for pair in raw if isinstance(raw, (list, tuple)) else ():
-        try:
-            lo, hi = pair
-            float(lo), float(hi)
-        except (TypeError, ValueError, OverflowError):
-            return pair
-    return raw
 
 
 EMPTY = IntervalSet()

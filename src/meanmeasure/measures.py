@@ -214,52 +214,6 @@ def _check_count(value, name: str, least: int = 0) -> int:
     return n
 
 
-_PROBES = 33  # probe points of consistency_errors
-
-
-def _derivative(g: Callable[[float], float], x: float, lo: float, hi: float) -> float:
-    """``g'(x)`` from points in ``(lo, hi)``: closer than ``|x|`` to an end, a
-    second-order one-sided difference with step ``1e-6 |x|`` away from that
-    end, else a central one with step ``1e-6 min(max(1, |x|), x - lo, hi - x)``."""
-    near = min(x - lo, hi - x)
-    if near < abs(x):
-        h = 1e-6 * abs(x) if x - lo < hi - x else -1e-6 * abs(x)
-        return (4.0 * g(x + h) - 3.0 * g(x) - g(x + 2.0 * h)) / (2.0 * h)
-    h = 1e-6 * min(max(1.0, abs(x)), near)
-    return (g(x + h) - g(x - h)) / (2 * h)
-
-
-def consistency_errors(spec: MeasureSpec,
-                       window: tuple[float, float]) -> tuple[float, float]:
-    """Max relative deviation of F' from f and of f' from w on a probe grid.
-
-    Derivatives are finite differences from points inside the spec's domain:
-    central ones, or one-sided next to a finite end (see :func:`_derivative`).
-    Returns ``(0, 0)`` components for primitives that are absent.  A window
-    outside the domain, or where the density or a primitive leaves double
-    range, raises ``DomainError``.
-    """
-    [(a, b)] = spec.require_window(window)
-    lo, hi = spec.domain
-    xs = [a + (b - a) * (i + 0.5) / _PROBES for i in range(_PROBES)]
-    err_Ff = 0.0
-    err_fw = 0.0
-    try:
-        for x in xs:
-            if spec.cdf is not None and spec.antiderivative is not None:
-                fd = _derivative(spec.antiderivative, x, lo, hi)
-                f = spec.cdf(x)
-                err_Ff = max(err_Ff, abs(fd - f) / max(abs(f), 1e-300))
-            if spec.cdf is not None:
-                fd = _derivative(spec.cdf, x, lo, hi)
-                w = spec.density(x)
-                err_fw = max(err_fw, abs(fd - w) / max(abs(w), 1e-300))
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"density or primitives of {spec.name!r} leave "
-                          f"double range on the window {window!r}") from None
-    return err_Ff, err_fw
-
-
 # -- monotone density-ratio certificate -------------------------------------
 
 

@@ -3,11 +3,12 @@
 One panel is a 15-point Kronrod rule with the embedded 7-point Gauss rule;
 the difference of the two estimates is used as a (conservative) per-panel
 error bound.  The panel with the worst bound is bisected until the summed
-bound meets the requested tolerance or the panel budget runs out.  The sums
-are kept as running totals, as QUADPACK's QAG does (Piessens et al., 1983),
-and recomputed exactly with ``fsum`` before either exit.  A first panel that
-already meets the tolerance is returned at once: one panel's totals are
-exact, and most passes of a set mean stop there.
+bound meets the requested tolerance, the panel budget runs out, or every
+panel left is too narrow to bisect.  The sums are kept as running totals,
+as QUADPACK's QAG does (Piessens et al., 1983), and recomputed exactly with
+``fsum`` before either exit.  A first panel that already meets the
+tolerance is returned at once: one panel's totals are exact, and most
+passes of a set mean stop there.
 
 Passes over one density on one interval bisect it the same way, so they meet
 the same panels.  A :class:`PanelSums` table evaluates the density once at
@@ -207,7 +208,8 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     ``fn`` is a callable or a pass of a :class:`PanelSums` table; the result's
     ``evaluations`` counts the integrand (or density) evaluations made.
     Raises :class:`QuadratureError` carrying the best partial result when the
-    panel budget (``max_panels``, at least 1) is exhausted first.
+    panel budget (``max_panels``, at least 1) is exhausted first, or when
+    every panel left is too narrow to bisect.
     """
     if not (a < b):
         raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
@@ -242,8 +244,11 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
             if total_err <= abs_tol or total_err <= rel_tol * abs(total_val):
                 return QuadratureResult(total_val, total_err, evals)
             if spent:
+                cause = (f"panel budget {max_panels} exhausted"
+                         if count >= max_panels
+                         else "every panel left is too narrow to bisect")
                 raise QuadratureError(
-                    f"panel budget {max_panels} exhausted (err={total_err:.3e})",
+                    f"{cause} (err={total_err:.3e})",
                     result=QuadratureResult(total_val, total_err, evals),
                 )
             # the running totals had drifted: go on from the exact sums

@@ -151,6 +151,22 @@ def test_no_partial_file_on_failure(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["mean", "--measure", "geometric", "--set", "[1,2]"],
+    ["verify", "--suites", "internality", "--cases", "2"],
+], ids=lambda c: c[0])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, command):
+    # a missing directory fails before a temporary file exists; a directory
+    # as the target fails after one was written next to it
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "taken"):
+        code, _, err = run(capsys, *command, "--out", str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".meanmeasure")]
+
+
 def test_construct_command(capsys):
     code, out, _ = run(capsys, "construct", "--mean", "geometric",
                        "--window", "0.25,64")

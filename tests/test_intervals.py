@@ -33,6 +33,9 @@ def test_normalize_drops_degenerate_and_absorbs_nested():
 def test_normalize_rejects_bad_endpoints(bad):
     with pytest.raises(InvalidInterval, match=re.escape(repr(bad[0]))):
         normalize(bad)
+    # read once: a generator's message names its bad pair too
+    with pytest.raises(InvalidInterval, match=re.escape(repr(bad[0]))):
+        normalize(pair for pair in [(1, 2)] + bad)
 
 
 def test_set_operation_examples():

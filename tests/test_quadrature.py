@@ -62,7 +62,7 @@ def test_tolerance_honored_on_smooth_integrand():
 def test_default_budget_exhaustion_is_quick():
     # 10,000 panels: the first one plus 9,999 bisections of two panels each
     start = time.perf_counter()
-    with pytest.raises(QuadratureError) as exc_info:
+    with pytest.raises(QuadratureError, match="panel budget 10000 exhausted") as exc_info:
         quad(lambda x: math.sin(1.0 / x), 1e-6, 1.0, abs_tol=1e-15, rel_tol=1e-15)
     assert time.perf_counter() - start < 2.0
     assert exc_info.value.result.evaluations == 299_985
@@ -117,7 +117,8 @@ def test_one_panel_budget_missed_raises_with_the_panel():
 def test_panels_too_narrow_to_bisect_end_the_pass():
     # a jump at 0.5 on two ulps: the first bisection leaves two one-ulp
     # panels, whose midpoints round to an end, so nothing is left to refine
-    with pytest.raises(QuadratureError) as exc_info:
+    with pytest.raises(QuadratureError,
+                       match="every panel left is too narrow to bisect") as exc_info:
         quad(lambda x: math.copysign(1.0, x - 0.5), math.nextafter(0.5, 0.0),
              math.nextafter(0.5, 1.0), abs_tol=0, rel_tol=0)
     partial = exc_info.value.result
