@@ -7,12 +7,12 @@ Subcommands: ``mean`` (evaluate a measure-weighted mean of a set expression),
 ``verify`` (run the randomized property suites).
 
 Exit codes: 0 success, 1 verification failure (witness printed), 2 usage or
-parse error (an ``--out`` path that cannot be written too), 3 numeric
-failure.  Reports go to stdout as JSON (floats with 17 significant digits)
-or, for ``sweep``, as CSV; ``--out PATH`` writes the same bytes atomically
-instead.  ``verify`` always prints its PASS/FAIL and witness lines; its
-``--out PATH`` also writes, atomically, a JSON list with one
-``{suite, cases, passed, witnesses}`` entry per suite.
+parse error (an ``--out`` path that cannot be written too, found before any
+work), 3 numeric failure.  Reports go to stdout as JSON (floats with 17
+significant digits) or, for ``sweep``, as CSV; ``--out PATH`` writes the
+same bytes atomically instead.  ``verify`` always prints its PASS/FAIL and
+witness lines; its ``--out PATH`` also writes, atomically, a JSON list with
+one ``{suite, cases, passed, witnesses}`` entry per suite.
 
 A module that only some subcommands use is imported when one of them runs:
 the synthesis by ``construct``, the property suites by ``verify``, and the
@@ -96,6 +96,20 @@ def _emit(text: str, out_path) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    _write_beside(out_path, text)
+
+
+def _check_out(out_path) -> None:
+    """Fail, before any work, on an ``--out`` path that cannot be written:
+    a directory, or one whose directory takes no new file."""
+    if os.path.isdir(out_path):
+        raise _Unwritable(f"cannot write {out_path!r}: Is a directory")
+    _write_beside(out_path, None)
+
+
+def _write_beside(out_path, text) -> None:
+    """Write ``text`` to a temporary file beside ``out_path``, then move it
+    there; with ``text`` None, only make and remove the temporary file."""
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
@@ -103,8 +117,9 @@ def _emit(text: str, out_path) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meanmeasure-")
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+            fh.write(text or "")
+        if text is not None:
+            os.replace(tmp, out_path)
     except OSError as exc:
         raise _Unwritable(f"cannot write {out_path!r}: {exc.strerror or exc}") from None
     finally:
@@ -287,6 +302,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -568,8 +568,7 @@ def from_section(g: Callable[[float], float], cm: ConstructedMeasure,
     return (fb * g(b) - fa * g(a)) / (fb - fa)
 
 
-@dataclass(frozen=True)
-class UniquenessResult:
+class UniquenessResult(NamedTuple):
     proportional: bool
     scale: Optional[float] = None
     witness: object = None

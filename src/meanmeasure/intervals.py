@@ -11,22 +11,44 @@ atomless).  Values are immutable, so all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptySet, InvalidInterval
 
 Pair = tuple[float, float]
 
 
-@dataclass(frozen=True)
 class IntervalSet:
     """Finite union of disjoint closed intervals, in canonical form.
 
     Build instances through :func:`normalize`; the raw constructor does not
-    re-canonicalize.
+    re-canonicalize.  Instances are read-only: assigning to ``intervals``
+    raises AttributeError.
     """
 
-    intervals: tuple[Pair, ...] = ()
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[Pair, ...] = ()):
+        _set_intervals(self, intervals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IntervalSet, (self.intervals,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.intervals == other.intervals
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.intervals,))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(intervals={self.intervals!r})"
 
     @property
     def is_empty(self) -> bool:
@@ -115,6 +137,10 @@ class IntervalSet:
         return self.intersect(other).is_empty
 
 
+# the slot's own setter, which the read-only __setattr__ does not reach
+_set_intervals = IntervalSet.intervals.__set__
+
+
 def _cut(y: float) -> float:
     y = float(y)
     if math.isnan(y):
@@ -154,12 +180,18 @@ def _merged(pairs) -> IntervalSet:
     """The set of sorted pairs ``lo < hi`` of floats, overlapping or touching
     ones merged."""
     merged: list[Pair] = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
+    # the upper end of the last merged pair; NaN compares false, so the first
+    # pair opens one, even with a lone -inf lower end (``slice_below``)
+    top = math.nan
+    for pair in pairs:
+        lo, hi = pair
+        if lo <= top:
+            if hi > top:
+                top = hi
                 merged[-1] = (merged[-1][0], hi)
         else:
-            merged.append((lo, hi))
+            top = hi
+            merged.append(pair)
     return IntervalSet(tuple(merged))
 
 

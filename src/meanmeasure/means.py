@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNested
 from .intervals import IntervalSet, normalize
@@ -28,8 +27,7 @@ from .measures import (
 from .quadrature import PanelSums, quad
 
 
-@dataclass(frozen=True)
-class MeanReport:
+class MeanReport(NamedTuple):
     """Mean value with the mass, moment, and a propagated numeric error bound."""
 
     value: float
@@ -38,8 +36,7 @@ class MeanReport:
     err: float
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(NamedTuple):
     """Infimum and supremum of mu(J)/lambda(J) over subintervals J of an interval.
 
     ``exact`` is True when the bounds come from density endpoint limits of a
@@ -52,8 +49,7 @@ class BoundPair:
     exact: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     x: float
     mean: float
     avg: float
@@ -67,7 +63,7 @@ def mean(spec: MeasureSpec, H: IntervalSet) -> MeanReport:
     A scaled measure reports its base measure's value and error bound, bit
     for bit, with the mass and moment multiplied by the factor.
     """
-    if H.is_empty:
+    if not H.intervals:
         raise EmptySet("mean of the empty set is undefined")
     mass, mass_err, moment, moment_err = spec._integrate(H, True)
     if not (mass > 0.0):
@@ -132,8 +128,7 @@ def cantor_probe(spec: MeasureSpec, chain: Sequence[IntervalSet]) -> list[float]
     return [abs(mean(spec, H).value - last) for H in chain]
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     values: dict  # means keyed "A", "B", "A|B", "A|C", "A|B|C"
     disjoint_pass: bool
     union_pass: bool
@@ -162,9 +157,10 @@ def monotonicity_probe(spec: MeasureSpec, A: IntervalSet, B: IntervalSet,
 
     m_a = mean(spec, A).value
     m_b = mean(spec, B).value
-    m_ab = mean(spec, A.union(B)).value
+    AB = A.union(B)
+    m_ab = mean(spec, AB).value
     m_ac = mean(spec, A.union(C)).value
-    m_abc = mean(spec, A.union(B).union(C)).value
+    m_abc = mean(spec, AB.union(C)).value
     values = {"A": m_a, "B": m_b, "A|B": m_ab, "A|C": m_ac, "A|B|C": m_abc}
 
     tol = 1e-12 * (1.0 + max(abs(v) for v in values.values()))
@@ -189,8 +185,7 @@ def monotonicity_probe(spec: MeasureSpec, A: IntervalSet, B: IntervalSet,
                               union_vacuous, strict_pass)
 
 
-@dataclass(frozen=True)
-class LeqCertificate:
+class LeqCertificate(NamedTuple):
     """Outcome of comparing two measures' means across a window."""
 
     status: str  # "certified" | "refuted" | "inconclusive"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet, normalize
@@ -217,8 +217,7 @@ def _check_count(value, name: str, least: int = 0) -> int:
 # -- monotone density-ratio certificate -------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioCertificate:
+class RatioCertificate(NamedTuple):
     status: str  # "certified" | "refuted" | "inconclusive"
     witness: Optional[tuple[float, float, float, float]] = None  # x1, x2, r1, r2
 

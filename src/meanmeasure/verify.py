@@ -16,7 +16,6 @@ acceptance tests both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import EmptySet, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet, normalize
@@ -44,11 +43,15 @@ _WINDOWS = {
 _POOL = tuple(_WINDOWS)
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
+    """One suite's name, case count and first few failure witnesses."""
+
+    __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int):
+        self.name = name
+        self.cases = cases
+        self.failures = []
 
     @property
     def passed(self) -> bool:

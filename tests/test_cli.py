@@ -167,6 +167,29 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, command):
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".meanmeasure")]
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["construct", "--mean", "geometric"],
+], ids=lambda c: c[0])
+def test_unwritable_out_path_fails_before_the_work(tmp_path, capsys,
+                                                   monkeypatch, command):
+    from meanmeasure import construct
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran the work before checking --out")
+
+    monkeypatch.setattr(verify, "run_suites", never)
+    monkeypatch.setattr(construct, "build", never)
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "taken"):
+        code, out, err = run(capsys, *command, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".meanmeasure")]
+
+
 def test_construct_command(capsys):
     code, out, _ = run(capsys, "construct", "--mean", "geometric",
                        "--window", "0.25,64")

@@ -1,13 +1,15 @@
 """Interval-set algebra: canonical form, set operations, measure identities."""
 
+import copy
 import math
+import pickle
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanmeasure import EmptySet, IntervalSet, InvalidInterval, normalize
+from meanmeasure import EMPTY, EmptySet, IntervalSet, InvalidInterval, normalize
 
 
 def test_normalize_merges_touching():
@@ -64,6 +66,38 @@ def test_slice_examples():
                 normalize([(0, 1), (2, 3)]).slice_above):
         with pytest.raises(InvalidInterval):
             cut(math.nan)
+
+
+def test_union_keeps_a_lone_infinite_end():
+    # slice_below's half-line is a raw set whose first pair starts at -inf
+    half_line = IntervalSet(((-math.inf, 1.0),))
+    merged = half_line.union(normalize([(0.5, 2), (3, 4)]))
+    assert merged.intervals == ((-math.inf, 2.0), (3.0, 4.0))
+    assert half_line.union(EMPTY) == half_line
+
+
+def test_interval_sets_are_read_only_values():
+    h = normalize([(0, 1), (2, 4)])
+    with pytest.raises(AttributeError):
+        h.intervals = ()
+    with pytest.raises(AttributeError):
+        del h.intervals
+    with pytest.raises(AttributeError):
+        h.extra = 1
+    assert h.intervals == ((0.0, 1.0), (2.0, 4.0))
+    same = normalize([(2, 4), (0, 1)])
+    assert same == h and same is not h and hash(same) == hash(h)
+    assert h != normalize([(0, 1)]) and h != h.intervals
+    assert repr(h) == "IntervalSet(intervals=((0.0, 1.0), (2.0, 4.0)))"
+    assert copy.deepcopy(h) == h and pickle.loads(pickle.dumps(h)) == h
+
+
+def test_empty_stays_empty():
+    with pytest.raises(AttributeError):
+        EMPTY.intervals = ((0.0, 1.0),)
+    assert EMPTY.union(normalize([(0, 1)])).intervals == ((0.0, 1.0),)
+    assert EMPTY.is_empty and EMPTY.intervals == ()
+    assert EMPTY == IntervalSet() == normalize([]) and hash(EMPTY) == hash(IntervalSet())
 
 
 def test_scalar_queries():

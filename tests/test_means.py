@@ -13,6 +13,7 @@ from meanmeasure import (
     EmptySet,
     IntervalSet,
     InvalidInterval,
+    MeanReport,
     MeasureSpec,
     NotDisjoint,
     NotNested,
@@ -68,6 +69,16 @@ def test_mean_rejects_empty_and_out_of_domain():
         mean(catalog("lebesgue"), IntervalSet())
     with pytest.raises(DomainError):
         mean(catalog("geometric"), normalize([(-2, -1)]))
+
+
+def test_mean_report_is_an_immutable_named_tuple():
+    report = mean(catalog("geometric"), normalize([(1, 4)]))
+    value, mass, moment, err = report
+    assert MeanReport._fields == ("value", "mass", "moment", "err")
+    assert (value, mass, moment, err) == (report.value, report.mass,
+                                          report.moment, report.err)
+    with pytest.raises(AttributeError):
+        report.value = 0.0
 
 
 def test_mean_evaluates_each_primitive_once_per_endpoint():

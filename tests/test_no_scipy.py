@@ -69,6 +69,21 @@ def test_import_loads_no_numpy():
     assert p.stdout == "False\n"
 
 
+def test_cli_import_decorates_only_the_spec_dataclasses():
+    # a dataclass costs its decorator at import and a slower __init__ for
+    # every record; MeasureSpec stays one, as users derive copies with
+    # dataclasses.replace
+    p = python("import dataclasses, sys, meanmeasure.cli\n"
+               "print(sorted({f'{o.__module__}.{o.__qualname__}'\n"
+               "              for m in list(sys.modules)\n"
+               "              if m.split('.')[0] == 'meanmeasure'\n"
+               "              for o in vars(sys.modules[m]).values()\n"
+               "              if isinstance(o, type) and dataclasses.is_dataclass(o)}))")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == ("['meanmeasure.measures.MeasureSpec', "
+                        "'meanmeasure.measures._ScaledMeasure']\n")
+
+
 # the package's modules loaded once the script before it has run
 PRINT_LOADED = ("print(sorted(m.split('.')[1] for m in sys.modules"
                 " if m.startswith('meanmeasure.')), file=sys.stderr)\n")
