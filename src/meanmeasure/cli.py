@@ -93,10 +93,8 @@ def _emit(text: str, out_path) -> None:
     """Print to stdout, or write the whole payload atomically to a file."""
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    _write_beside(out_path, text)
+    else:
+        _write_beside(out_path, text)
 
 
 def _check_out(out_path) -> None:
@@ -157,15 +155,14 @@ def cmd_mean(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .construct import build, ordinary_mean
+    from .construct import _linspace, build, ordinary_mean
 
     k = ordinary_mean(args.mean)
     window = _parse_window(args.window)
     spec = build(k, window)
     cm = spec.construction
     lo, hi = window
-    step = (math.log(hi) - math.log(lo)) / 11
-    probes = [math.exp(math.log(lo) + i * step) for i in range(1, 11)]
+    probes = map(math.exp, _linspace(math.log(lo), math.log(hi), 12)[1:-1])
     density_probes = [{"x": x, "w": spec.density(x)} for x in probes]
     payload = {
         "mean": k.name,
@@ -259,14 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="evaluate the mean of a set expression")
     p.add_argument("--measure", required=True, choices=CATALOG_NAMES)
     p.add_argument("--set", required=True, help="e.g. \"[1, e^2] U [e^4, e^8]\"")
-    p.add_argument("--out", default=None, help="write JSON to a file")
     p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("construct", help="synthesize the measure behind a mean")
     p.add_argument("--mean", required=True,
                    help="arithmetic | geometric | harmonic | logarithmic | power:p")
     p.add_argument("--window", default="0.25,64")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("compare", help="certify mean-by-mu <= mean-by-nu")
@@ -276,14 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--random", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="translate a set to infinity, emit CSV")
     p.add_argument("--measure", required=True, choices=CATALOG_NAMES)
     p.add_argument("--set", required=True)
     p.add_argument("--shifts", required=True, help="comma-separated shifts")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the randomized property suites")
@@ -292,9 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "unknown name is an error that lists them")
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="PATH",
+                       help="write the report to PATH, atomically")
     return parser
 
 

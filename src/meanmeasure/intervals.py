@@ -77,8 +77,12 @@ class IntervalSet:
         return any(lo <= x <= hi for lo, hi in self.intervals)
 
     def translate(self, x: float) -> "IntervalSet":
-        if not math.isfinite(x):
-            raise InvalidInterval(f"non-finite translation {x!r}")
+        try:
+            if not math.isfinite(x):
+                raise InvalidInterval(f"non-finite translation {x!r}")
+        except (TypeError, OverflowError):
+            raise InvalidInterval(f"translation must be a finite real number, "
+                                  f"got {x!r}") from None
         return normalize([(lo + x, hi + x) for lo, hi in self.intervals])
 
     def slice_below(self, y: float) -> "IntervalSet":
@@ -112,20 +116,17 @@ class IntervalSet:
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         out = []
         for lo, hi in self.intervals:
-            cursor = lo
+            # a cut past ``hi`` leaves the next one, a gap further on, to stop
             for blo, bhi in other.intervals:
-                if bhi <= cursor:
-                    continue
                 if blo >= hi:
                     break
-                if blo > cursor:
-                    out.append((cursor, min(blo, hi)))
-                cursor = max(cursor, bhi)
-                if cursor >= hi:
-                    break
-            if cursor < hi:
-                out.append((cursor, hi))
-        return IntervalSet(tuple(p for p in out if p[0] < p[1]))
+                if bhi > lo:
+                    if blo > lo:
+                        out.append((lo, blo))
+                    lo = bhi
+            if lo < hi:
+                out.append((lo, hi))
+        return IntervalSet(tuple(out))
 
     def symdiff(self, other: "IntervalSet") -> "IntervalSet":
         return self.subtract(other).union(other.subtract(self))
@@ -142,7 +143,10 @@ _set_intervals = IntervalSet.intervals.__set__
 
 
 def _cut(y: float) -> float:
-    y = float(y)
+    try:
+        y = float(y)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInterval(f"cannot slice at {y!r}: not a real number") from None
     if math.isnan(y):
         raise InvalidInterval("cannot slice at NaN")
     return y
@@ -152,9 +156,10 @@ def normalize(raw) -> IntervalSet:
     """Canonicalize a sequence of ``(lo, hi)`` pairs into an IntervalSet.
 
     Sorts, drops zero-length intervals, and merges overlapping or touching
-    ones.  Each item must be a pair of real numbers, finite and ordered
-    ``lo <= hi``; anything else raises :class:`InvalidInterval`.  Endpoints
-    compare exactly as floats, there is no epsilon merging.
+    ones.  Each item must be a pair whose endpoints ``float()`` reads as
+    finite numbers ordered ``lo <= hi``, so ``("1", "2")`` is read as
+    ``(1.0, 2.0)``; anything else raises :class:`InvalidInterval`.
+    Endpoints compare exactly as floats, there is no epsilon merging.
     """
     cleaned = []
     pair = raw  # named by the message until the loop reads an item

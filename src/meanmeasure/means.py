@@ -202,9 +202,13 @@ def random_interval_union(rng: random.Random, window: tuple[float, float],
                           min_intervals: int = 1) -> IntervalSet:
     """Random disjoint union of min_intervals..max_intervals intervals inside
     the finite ``window``."""
-    lo, hi = window
-    # a finite width also makes both ends finite
-    if not (lo < hi and math.isfinite(hi - lo)):
+    try:
+        lo, hi = window
+        # a finite width also makes both ends finite
+        bounded = lo < hi and math.isfinite(hi - lo)
+    except (TypeError, ValueError, OverflowError):
+        bounded = False
+    if not bounded:
         raise InvalidInterval(
             f"window needs lo < hi and a finite width, got {window!r}")
     min_intervals = _check_count(min_intervals, "min_intervals", least=1)
@@ -283,8 +287,9 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
     """Bounds on mu(J)/lambda(J) over subintervals J of ``interval``.
 
     For a declared monotone density the infimum and supremum are the density
-    limits at the interval's ends (exact).  Otherwise a refining family of
-    uniform subintervals, 1 to 64 pieces, gives inner estimates.
+    limits at the interval's ends (exact).  Otherwise the extremes over 64
+    uniform pieces give inner estimates: a coarser piece is the union of two
+    finer ones, so its average density lies between theirs and adds none.
     """
     [(lo, hi)] = spec.require_window(interval)
     try:
@@ -297,14 +302,13 @@ def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
                           f"on {interval!r}") from None
     m_est = math.inf
     M_est = -math.inf
-    for k in range(7):
-        step = (hi - lo) / 2 ** k
-        edges = [lo + j * step for j in range(2 ** k)] + [hi]
-        for j in range(len(edges) - 1):
-            piece = normalize([(edges[j], edges[j + 1])])
-            r = spec.mu(piece) / piece.lebesgue()
-            m_est = min(m_est, r)
-            M_est = max(M_est, r)
+    step = (hi - lo) / 64
+    edges = [lo + j * step for j in range(64)] + [hi]
+    for j in range(64):
+        piece = normalize([(edges[j], edges[j + 1])])
+        r = spec.mu(piece) / piece.lebesgue()
+        m_est = min(m_est, r)
+        M_est = max(M_est, r)
     return BoundPair(m=m_est, M=M_est, exact=False)
 
 

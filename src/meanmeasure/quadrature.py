@@ -211,16 +211,22 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     panel budget (``max_panels``, at least 1) is exhausted first, or when
     every panel left is too narrow to bisect.
     """
-    if not (a < b):
-        raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidInterval(f"quad needs finite endpoints, got ({a!r}, {b!r})")
-    if not (abs_tol >= 0.0 and rel_tol >= 0.0):
-        raise InvalidInterval("quad needs non-negative tolerances, got "
-                              f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
-    if not (max_panels >= 1):
-        raise InvalidInterval(f"quad needs a panel budget of at least 1, got "
-                              f"{max_panels!r}")
+    try:
+        if not (a < b):
+            raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidInterval(f"quad needs finite endpoints, got ({a!r}, {b!r})")
+        if not (abs_tol >= 0.0 and rel_tol >= 0.0):
+            raise InvalidInterval("quad needs non-negative tolerances, got "
+                                  f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
+        if not (max_panels >= 1):
+            raise InvalidInterval(f"quad needs a panel budget of at least 1, "
+                                  f"got {max_panels!r}")
+    except (TypeError, OverflowError):
+        raise InvalidInterval(
+            f"quad needs real numbers in double range, got a={a!r}, b={b!r}, "
+            f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}, max_panels={max_panels!r}"
+        ) from None
     panel = fn.panel if isinstance(fn, _Pass) else functools.partial(_panel, fn)
     value, err, evals = panel(a, b)
     # one panel's totals are exact: most passes stop here

@@ -154,6 +154,9 @@ def test_no_partial_file_on_failure(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["mean", "--measure", "geometric", "--set", "[1,2]"],
     ["verify", "--suites", "internality", "--cases", "2"],
+    ["construct", "--mean", "geometric"],
+    ["compare", "--mu", "geometric", "--nu", "lebesgue", "--window", "0.1,100"],
+    ["sweep", "--measure", "geometric", "--set", "[1,2]", "--shifts", "0"],
 ], ids=lambda c: c[0])
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, command):
     # a missing directory fails before a temporary file exists; a directory
@@ -225,6 +228,19 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, piped, _ = run(capsys, *args, "--out", str(target))
     assert code == 0 and piped == ""
+    assert target.read_text() == direct
+
+
+@pytest.mark.parametrize("command", [
+    ["mean", "--measure", "geometric", "--set", "[1, e^2] U [e^4, e^8]"],
+    ["construct", "--mean", "harmonic", "--window", "0.5,8"],
+    ["compare", "--mu", "geometric", "--nu", "lebesgue", "--window", "0.1,100",
+     "--probes", "20", "--random", "20"],
+], ids=lambda c: c[0])
+def test_out_file_matches_stdout(tmp_path, capsys, command):
+    code, direct, _ = run(capsys, *command)
+    target = tmp_path / "report.json"
+    assert run(capsys, *command, "--out", str(target)) == (code, "", "")
     assert target.read_text() == direct
 
 

@@ -672,6 +672,16 @@ def test_build_rejects_bad_means():
     edge = OrdinaryMean("edge", lambda a, b: max(a, b))
     with pytest.raises(NotStrictlyInternal):
         build(edge, WINDOW)
+
+    def k(a, b):
+        lo, hi = min(a, b), max(a, b)
+        return hi if 1.55 < hi / lo < 1.9 else 0.5 * (lo + hi)
+
+    # the probe pairs on (2, 50) stand at ratios 25^(j/8), 1.495 and 2.236
+    # around the band where K leaves (lo, hi); the section's fit meets it
+    banded = OrdinaryMean("banded", k)
+    with pytest.raises(NotStrictlyInternal, match="leaves the open interval"):
+        build(banded, (2.0, 50.0))
     with pytest.raises(DomainError):
         build(ordinary_mean("geometric"), (-1.0, 4.0))
     # a ** p overflows at the first probe pair
@@ -702,6 +712,14 @@ def test_table_checks_reject_a_falling_section():
     for window in [(2.0, 50.0), (0.02, 0.5), (0.25, 64.0)]:
         with pytest.raises(NotIncreasing):
             build(wavy, window)
+
+
+def test_density_at_the_pivot_is_its_limit():
+    # w(1) is taken one ulp above the pivot, where the gap x - K(1, x) is 0
+    cm = build(ordinary_mean("geometric"), WINDOW).construction
+    assert cm.w(1.0) == cm.w(math.nextafter(1.0, 2.0))
+    assert cm.w(1.0) == pytest.approx(0.5 * (cm.w(1.0 - 1e-6) + cm.w(1.0 + 1e-6)),
+                                      rel=1e-9)
 
 
 def test_density_check_rejects_a_falling_slope():

@@ -49,13 +49,44 @@ def test_set_operation_examples():
         ((0.0, 1.0), (2.0, 3.0))
 
 
+@pytest.mark.parametrize("a, b, want", [
+    # one cut covering several intervals
+    ([(0, 1), (2, 3), (4, 5), (6, 7)], [(0.5, 6.5)], ((0.0, 0.5), (6.5, 7.0))),
+    # a cut running past hi, then a cut in the next interval
+    ([(0, 2), (3, 5)], [(1, 4), (4.5, 6)], ((0.0, 1.0), (4.0, 4.5))),
+    # an interval covered whole, its neighbours untouched
+    ([(0, 1), (2, 3), (4, 5)], [(1.5, 3.5)], ((0.0, 1.0), (4.0, 5.0))),
+    # touching ends: a cut ending where the interval starts, or starting
+    # where it ends, removes nothing; one matching it exactly removes it all
+    ([(1, 2), (3, 4)], [(0, 1), (2, 3)], ((1.0, 2.0), (3.0, 4.0))),
+    ([(1, 2), (3, 4)], [(1, 2)], ((3.0, 4.0),)),
+    # half-line cuts
+    ([(0, 1), (2, 3)], [(-math.inf, 0.5)], ((0.5, 1.0), (2.0, 3.0))),
+    ([(0, 1), (2, 3)], [(2.5, math.inf)], ((0.0, 1.0), (2.0, 2.5))),
+    ([(-math.inf, 1)], [(-2, -1), (0, 0.5)], ((-math.inf, -2.0), (-1.0, 0.0),
+                                              (0.5, 1.0))),
+])
+def test_subtract_cases_match_membership(a, b, want):
+    a, b = IntervalSet(tuple(a)), IntervalSet(tuple(b))
+    diff = a.subtract(b)
+    assert diff.intervals == want
+    # membership oracle between the finite endpoints and just off each one
+    ends = sorted({e for pair in a.intervals + b.intervals for e in pair
+                   if math.isfinite(e)})
+    probes = [0.5 * (x + y) for x, y in zip(ends, ends[1:])]
+    probes += [e + d for e in ends for d in (-1e-9, 1e-9)]
+    for x in probes:
+        assert diff.contains(x) == (a.contains(x) and not b.contains(x)), x
+
+
 def test_translate_examples():
     assert normalize([(1, 2)]).translate(3).intervals == ((4.0, 5.0),)
     h = normalize([(1, 2), (3, 4)])
     assert h.translate(0) == h
     assert normalize([(1, 2)]).translate(-0.5).intervals == ((0.5, 1.5),)
-    with pytest.raises(InvalidInterval):
-        h.translate(float("inf"))
+    for bad in (float("inf"), "x", None, 10 ** 400):
+        with pytest.raises(InvalidInterval):
+            h.translate(bad)
 
 
 def test_slice_examples():
@@ -64,8 +95,11 @@ def test_slice_examples():
     assert normalize([(2, 3)]).slice_below(1).is_empty
     for cut in (normalize([(0, 1), (2, 3)]).slice_below,
                 normalize([(0, 1), (2, 3)]).slice_above):
-        with pytest.raises(InvalidInterval):
+        with pytest.raises(InvalidInterval, match="NaN"):
             cut(math.nan)
+        for bad in ("x", None):
+            with pytest.raises(InvalidInterval, match=re.escape(repr(bad))):
+                cut(bad)
 
 
 def test_union_keeps_a_lone_infinite_end():

@@ -204,6 +204,8 @@ def test_cantor_probe_rejects_non_chain():
     with pytest.raises(NotNested):
         cantor_probe(catalog("lebesgue"),
                      [normalize([(0, 1)]), normalize([(0, 2)])])
+    with pytest.raises(EmptySet):
+        cantor_probe(catalog("lebesgue"), [])
 
 
 def test_monotonicity_probe_lebesgue():
@@ -226,8 +228,11 @@ def test_monotonicity_probe_geometric_strict():
 
 def test_monotonicity_probe_rejects_overlap():
     b = normalize([(2, 3)])
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(NotDisjoint, match="B and C"):
         monotonicity_probe(catalog("lebesgue"), normalize([(0, 1)]), b, b)
+    with pytest.raises(NotDisjoint, match="A and B"):
+        monotonicity_probe(catalog("lebesgue"), normalize([(0, 2.5)]), b,
+                           normalize([(4, 5)]))
 
 
 def test_certify_geometric_below_lebesgue():
@@ -241,6 +246,19 @@ def test_certify_reverse_is_refuted_with_interval_witness():
                        (0.1, 100.0), rng=5)
     assert cert.status == "refuted"
     assert "interval" in cert.witness
+
+
+def test_certify_refuted_on_a_union_after_the_interval_probes():
+    # with no interval probes, the first random union refutes the reverse
+    # of AM >= GM, and the ratio check is kept with its witness
+    cert = certify_leq(catalog("lebesgue"), catalog("geometric"),
+                       (0.1, 100.0), n_probe=0, n_random=5, rng=5)
+    assert cert.status == "refuted"
+    assert isinstance(cert.witness["set"], IntervalSet)
+    assert cert.witness["mean_mu"] > cert.witness["mean_nu"] + 1e-9
+    assert mean(catalog("lebesgue"), cert.witness["set"]).value == \
+        cert.witness["mean_mu"]
+    assert cert.ratio is not None and not cert.ratio.certified
 
 
 def test_certify_harmonic_below_geometric():
@@ -267,6 +285,8 @@ def test_exp_avg_log_examples():
         2.0, rel=1e-6)
     with pytest.raises(DomainError):
         exp_avg_log(normalize([(-1.0, 2.0)]))
+    with pytest.raises(EmptySet):
+        exp_avg_log(IntervalSet())
 
 
 def test_exp_avg_log_matches_geometric_mean_on_intervals():
@@ -332,6 +352,8 @@ def test_infinity_sweep_geometric():
         infinity_sweep(catalog("geometric"), normalize([(1, 2)]), [-5.0])
     with pytest.raises(InvalidInterval, match="shifts"):  # once a bare ValueError
         infinity_sweep(catalog("geometric"), normalize([(1, 2)]), ["x"])
+    with pytest.raises(EmptySet):
+        infinity_sweep(catalog("geometric"), IntervalSet(), [0.0])
 
 
 def test_double_integral_examples():
@@ -425,6 +447,10 @@ class _CountingRng:
     ((0.0, 1.0), -1, 2),
     ((0.0, 1.0), 3, 2),
     ((-1e308, 1e308), 1, 5),  # finite ends, but the width overflows
+    ((1, 2, 3), 1, 5),  # not a pair
+    ((1, None), 1, 5),
+    (("1", "4"), 1, 5),
+    (None, 1, 5),
 ])
 def test_random_interval_union_rejects_bad_input_before_drawing(
         window, min_intervals, max_intervals):

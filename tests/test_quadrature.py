@@ -40,6 +40,9 @@ def test_needs_ordered_interval():
 def test_non_finite_integrand_rejected():
     with pytest.raises(QuadratureError):
         quad(lambda x: float("nan"), 0.0, 1.0)
+    # finite at the panel's centre, infinite at its outer nodes
+    with pytest.raises(QuadratureError, match=r"not finite inside \(0.0, 1.0\)"):
+        quad(lambda x: math.inf if x > 0.9 else 1.0, 0.0, 1.0)
 
 
 def test_budget_exhaustion_carries_partial_result():
@@ -75,6 +78,9 @@ def test_default_budget_exhaustion_is_quick():
     (0.0, 1.0, 1e-10, math.nan),
     (0.0, 1.0, -1e-10, 1e-9),
     (0.0, 1.0, 1e-10, -1e-9),
+    ("0", "1", 1e-10, 1e-9),
+    (0.0, 1.0, None, 1e-9),
+    pytest.param(0.0, 10 ** 400, 1e-10, 1e-9, id="past-double-range"),
 ])
 def test_invalid_input_rejected_before_evaluation(a, b, abs_tol, rel_tol):
     calls = []
@@ -83,7 +89,7 @@ def test_invalid_input_rejected_before_evaluation(a, b, abs_tol, rel_tol):
     assert calls == []
 
 
-@pytest.mark.parametrize("max_panels", [0, -5])
+@pytest.mark.parametrize("max_panels", [0, -5, "5"])
 def test_non_positive_panel_budget_rejected_before_evaluation(max_panels):
     calls = []
     with pytest.raises(InvalidInterval):

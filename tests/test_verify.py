@@ -51,7 +51,7 @@ def test_dmu_continuity_checks_the_counterexample(monkeypatch):
 
 def test_counterexample_needs_a_positive_delta():
     # delta = 0 once raised a bare ZeroDivisionError
-    for delta in (0.0, -0.01):
+    for delta in (0.0, -0.01, "x", None):
         with pytest.raises(InvalidInterval, match="delta"):
             verify.counterexample_unbounded_window(delta)
 
