@@ -7,7 +7,8 @@ optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 pass from the spec's own fields: from closed forms when both primitives are
 present, evaluating each once per endpoint, and otherwise from adaptive
 quadrature of ``w``, whose mass and moment passes share one evaluation of
-``w`` per node.  While a built measure's primitives are its
+``w`` per node.  While a catalog entry's primitives are its own, its kernel
+sums the set in one call; while a built measure's primitives are its
 ``construction``'s own, one evaluation per endpoint gives both.
 :meth:`MeasureSpec.mu` takes the same pass without the moment.
 
@@ -93,8 +94,9 @@ class MeasureSpec:
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
         # the moment and its error stay 0 unless asked for; the path is
-        # chosen once per set: quadrature, or closed forms that take each
-        # endpoint's f and F from a construction's one pass or the primitives
+        # chosen once per set: a catalog kernel, quadrature, or closed forms
+        # that take each endpoint's f and F from a construction's one pass or
+        # the primitives
         pairs = H.intervals
         if pairs and not (pairs[0][0] > self.domain[0]
                           and pairs[-1][1] < self.domain[1]):
@@ -102,8 +104,12 @@ class MeasureSpec:
         mass = mass_err = moment = moment_err = 0.0
         f, F = self.cdf, self.antiderivative
         cm = self.construction
+        kernel = _KERNELS.get(id(f))
         try:
-            if f is None or F is None:
+            if kernel is not None and kernel[0] is f and kernel[1] is F:
+                # a catalog entry's own primitives: its kernel sums the set
+                mass, mass_err, moment, moment_err = kernel[2](pairs, with_moment)
+            elif f is None or F is None:
                 # one panel table for the set: the passes of an interval share it
                 table = PanelSums(self.density)
                 for lo, hi in pairs:
@@ -263,6 +269,105 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
 
 # -- catalog -----------------------------------------------------------------
 
+# Set kernels: ``(pairs, with_moment) -> (mass, mass_err, moment, moment_err)``
+# of one catalog entry, in one call per set.  Each repeats its entry's
+# primitives and ``_integrate``'s sums operation for operation, in the same
+# order, so its results and exceptions are the primitives' bit for bit.  It
+# takes a shared value once (an endpoint's sqrt, log or exp, and x f(x)), and
+# leaves ``abs`` off squares and exponentials, which are +0.0 or more.
+
+
+def _lebesgue_sums(pairs, with_moment):
+    mass = mass_err = moment = moment_err = 0.0
+    for lo, hi in pairs:
+        mass += hi - lo
+        mass_err += _EPS * (abs(hi) + abs(lo))
+        if with_moment:
+            xlo, xhi = lo * lo, hi * hi
+            Flo, Fhi = 0.5 * lo * lo, 0.5 * hi * hi
+            moment += xhi - xlo - (Fhi - Flo)
+            moment_err += _EPS * (xhi + xlo + Fhi + Flo)
+    return mass, mass_err, moment, moment_err
+
+
+def _geometric_sums(pairs, with_moment):
+    mass = mass_err = moment = moment_err = 0.0
+    sqrt = math.sqrt
+    for lo, hi in pairs:
+        rlo, rhi = sqrt(lo), sqrt(hi)
+        flo = (1.0 - 1.0 / rlo) / _E2
+        fhi = (1.0 - 1.0 / rhi) / _E2
+        mass += fhi - flo
+        mass_err += _EPS * (abs(fhi) + abs(flo))
+        if with_moment:
+            xlo, xhi = lo * flo, hi * fhi
+            Flo = (rlo - 1.0) ** 2 / _E2
+            Fhi = (rhi - 1.0) ** 2 / _E2
+            moment += xhi - xlo - (Fhi - Flo)
+            moment_err += _EPS * (abs(xhi) + abs(xlo) + Fhi + Flo)
+    return mass, mass_err, moment, moment_err
+
+
+def _harmonic_sums(pairs, with_moment):
+    mass = mass_err = moment = moment_err = 0.0
+    for lo, hi in pairs:
+        flo = 1.0 - 1.0 / (lo * lo)
+        fhi = 1.0 - 1.0 / (hi * hi)
+        mass += fhi - flo
+        mass_err += _EPS * (abs(fhi) + abs(flo))
+        if with_moment:
+            xlo, xhi = lo * flo, hi * fhi
+            Flo = lo - 2.0 + 1.0 / lo
+            Fhi = hi - 2.0 + 1.0 / hi
+            moment += xhi - xlo - (Fhi - Flo)
+            moment_err += _EPS * (abs(xhi) + abs(xlo) + abs(Fhi) + abs(Flo))
+    return mass, mass_err, moment, moment_err
+
+
+def _logarithmic_sums(pairs, with_moment):
+    mass = mass_err = moment = moment_err = 0.0
+    log = math.log
+    for lo, hi in pairs:
+        flo, fhi = log(lo), log(hi)
+        mass += fhi - flo
+        mass_err += _EPS * (abs(fhi) + abs(flo))
+        if with_moment:
+            xlo, xhi = lo * flo, hi * fhi
+            Flo, Fhi = xlo - lo + 1.0, xhi - hi + 1.0
+            moment += xhi - xlo - (Fhi - Flo)
+            moment_err += _EPS * (abs(xhi) + abs(xlo) + abs(Fhi) + abs(Flo))
+    return mass, mass_err, moment, moment_err
+
+
+def _square_sums(pairs, with_moment):
+    mass = mass_err = moment = moment_err = 0.0
+    for lo, hi in pairs:
+        flo, fhi = lo * lo, hi * hi
+        mass += fhi - flo
+        mass_err += _EPS * (fhi + flo)
+        if with_moment:
+            xlo, xhi = lo * flo, hi * fhi
+            Flo = lo ** 3 / 3.0  # ``**`` raises OverflowError where ``*`` gives inf
+            Fhi = hi ** 3 / 3.0
+            moment += xhi - xlo - (Fhi - Flo)
+            moment_err += _EPS * (xhi + xlo + Fhi + Flo)
+    return mass, mass_err, moment, moment_err
+
+
+def _exponential_sums(pairs, with_moment):
+    mass = mass_err = moment = moment_err = 0.0
+    exp = math.exp
+    for lo, hi in pairs:
+        flo, fhi = exp(lo), exp(hi)
+        df = fhi - flo
+        mass += df
+        mass_err += _EPS * (fhi + flo)
+        if with_moment:
+            xlo, xhi = lo * flo, hi * fhi
+            moment += xhi - xlo - df
+            moment_err += _EPS * (abs(xhi) + abs(xlo) + fhi + flo)
+    return mass, mass_err, moment, moment_err
+
 
 _CATALOG = {spec.name: spec for spec in (
     MeasureSpec(
@@ -316,6 +421,17 @@ _CATALOG = {spec.name: spec for spec in (
 )}
 
 CATALOG_NAMES = tuple(_CATALOG)
+
+# id(cdf) -> (cdf, antiderivative, kernel): ``_integrate`` takes the kernel
+# while a spec's cdf and antiderivative are both the entry's own objects
+_KERNELS = {id(s.cdf): (s.cdf, s.antiderivative, k) for s, k in (
+    (_CATALOG["lebesgue"], _lebesgue_sums),
+    (_CATALOG["geometric"], _geometric_sums),
+    (_CATALOG["harmonic"], _harmonic_sums),
+    (_CATALOG["logarithmic"], _logarithmic_sums),
+    (_CATALOG["square"], _square_sums),
+    (_CATALOG["exponential"], _exponential_sums),
+)}
 
 
 def catalog(name: str) -> MeasureSpec:

@@ -113,6 +113,15 @@ def test_overflow_is_a_numeric_failure(capsys, argv):
     assert err.startswith("numeric failure:") and "overflows" in err
 
 
+def test_sweep_shift_that_rounds_the_set_away_is_named(capsys):
+    # [1, 2] + 1e308 rounds to the empty interval [1e308, 1e308]
+    code, out, err = run(capsys, "sweep", "--measure", "geometric",
+                         "--set", "[1,2]", "--shifts", "0,1e308")
+    assert (code, out) == (3, "")
+    assert err == ("numeric failure: shift 1e+308 rounds the set to nothing "
+                   "in double precision\n")
+
+
 @pytest.mark.parametrize("shifts", [",", "1,x"])
 def test_bad_shift_lists_are_usage_errors(capsys, shifts):
     code, out, err = run(capsys, "sweep", "--measure", "geometric",

@@ -506,6 +506,22 @@ def test_replaced_primitive_is_called(built):
     H = normalize([(2.0, 3.0), (4.0, 5.0)])
     assert mean(replaced, H) == mean(spec, H)
     assert calls == [2.0, 3.0, 4.0, 5.0]
+    # a catalog spec sums a set in its kernel only while both primitives are
+    # its own: a replaced cdf or antiderivative is called, a dropped one
+    # leaves quadrature of the density
+    g = catalog("geometric")
+    for attr in ("cdf", "antiderivative"):
+        calls = []
+        own = getattr(g, attr)
+        replaced = dataclasses.replace(
+            g, **{attr: lambda x: calls.append(x) or own(x)})
+        assert mean(replaced, H) == mean(g, H)
+        assert calls == [2.0, 3.0, 4.0, 5.0]
+    calls = []
+    dropped = dataclasses.replace(
+        g, cdf=None, density=lambda x: calls.append(x) or g.density(x))
+    assert mean(dropped, H).value == pytest.approx(mean(g, H).value, rel=1e-12)
+    assert len(calls) > 4
 
 
 def test_reconstruct_on_catalog_measures():

@@ -338,6 +338,20 @@ def test_m_bound_grid_estimate_brackets_from_inside():
     assert bp.M >= exact.M * 0.95
 
 
+def test_m_bound_grid_estimate_on_a_window_of_a_few_ulps():
+    # the 65 grid points round to 6 distinct ones here; the primitives'
+    # differences over one-ulp pieces would be rounding noise (mass 0 at 1)
+    anon = dataclasses.replace(catalog("geometric"), density_shape="none")
+    window = (1.0, 1.0 + 1e-15)
+    bp = m_bound(anon, window)
+    w_lo, w_hi = map(anon.density, window)
+    assert not bp.exact
+    assert w_hi <= bp.m <= bp.M <= w_lo
+    # a window wider than double range is sampled by its 64ths
+    flat = dataclasses.replace(catalog("lebesgue"), density_shape="none")
+    assert m_bound(flat, (-1e308, 1e308)) == (1.0, 1.0, False)
+
+
 def test_infinity_sweep_geometric():
     rows = infinity_sweep(catalog("geometric"), normalize([(1, 2)]),
                           [100, 0, 1e4])

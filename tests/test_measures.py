@@ -461,6 +461,67 @@ def test_scaled_measure_derives_its_callables(name):
     assert (got.value, got.err) == (want.value, want.err)
 
 
+def _outcome(call, *args):
+    """``repr`` of a call's result, or the type and message of its error:
+    two outcomes are equal when they agree bit for bit."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_sets(name, seed, n):
+    """Seeded unions in the measure's window shifted by 0 to 1e300, sets near
+    0 where the domain allows, and sets whose sums leave double range."""
+    rng, floor = random.Random(seed), catalog(name).domain[0]
+    sets = []
+    for k in range(n):
+        H = random_interval_union(rng, WINDOWS[name], 8)
+        shift = 0.0 if k % 4 == 0 else 10.0 ** rng.uniform(0, 300)
+        sets.append(H.translate(shift))
+        if floor == 0.0:
+            scale = 10.0 ** -rng.uniform(1, 320)
+            sets.append(normalize([(lo * scale, hi * scale) for lo, hi in H]))
+    sets += [normalize([(1000.0, 1001.0)]), normalize([(1e-200, 1e-100)]),
+             normalize([(1e200, 2e200), (3e200, 4e200)]),
+             normalize([(2.0, 3.0), (1e160, 1e161)]),
+             normalize([(1e17, 1e17 + 16.0)])]
+    return [H for H in sets if H.intervals and H.intervals[0][0] > floor]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_kernel_matches_its_primitives_bit_for_bit(name):
+    # a catalog spec sums a set in one kernel call; a copy whose primitives
+    # are new callables over the same ones sums it endpoint by endpoint
+    spec = catalog(name)
+    f, F = spec.cdf, spec.antiderivative
+    wrapped = dataclasses.replace(spec, cdf=lambda x: f(x),
+                                  antiderivative=lambda x: F(x))
+    calls = (lambda s, H: mean(s, H), lambda s, H: s.mu(H),
+             lambda s, H: s.integrate(H), lambda s, H: s.scaled(3.0).integrate(H),
+             lambda s, H: s.scaled(1e300).mu(H))
+    errors = 0
+    for H in _kernel_sets(name, CATALOG_NAMES.index(name), 120):
+        for call in calls:
+            got, want = _outcome(call, spec, H), _outcome(call, wrapped, H)
+            assert got == want, (H, got, want)
+            errors += isinstance(got, tuple)
+    assert errors > 0  # the error cases were reached
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_kernel_never_calls_the_density(name):
+    # a copy with a new density keeps the entry's primitives, so its kernel
+    spec = catalog(name)
+    calls = []
+    counted = dataclasses.replace(
+        spec, density=lambda x: calls.append(x) or spec.density(x))
+    for H in _kernel_sets(name, 7, 30):
+        assert _outcome(mean, counted, H) == _outcome(mean, spec, H)
+        assert _outcome(counted.integrate, H) == _outcome(spec.integrate, H)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n_probe", [0, 1])
 def test_ratio_needs_two_probe_points(n_probe):
     g, leb = catalog("geometric"), catalog("lebesgue")
