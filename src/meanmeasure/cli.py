@@ -29,7 +29,7 @@ import sys
 from .errors import InvalidInterval, MeanMeasureError, ParseError, UnknownMeasure
 from .intervals import IntervalSet
 from .means import certify_leq, infinity_sweep, mean
-from .measures import CATALOG_NAMES, catalog
+from .measures import CATALOG_NAMES, _linspace, catalog
 
 
 class _Unwritable(MeanMeasureError):
@@ -155,7 +155,7 @@ def cmd_mean(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .construct import _linspace, build, ordinary_mean
+    from .construct import build, ordinary_mean
 
     k = ordinary_mean(args.mean)
     window = _parse_window(args.window)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .intervals import IntervalSet
 from .means import mean, ordinary
-from .measures import MeasureSpec
+from .measures import MeasureSpec, _linspace
 
 # below this |log x| the gap x - K(1, x) loses digits to cancellation, so it
 # is integrated from the section's slope when the mean supplies one, and
@@ -124,9 +124,9 @@ def ordinary_mean(name: str) -> OrdinaryMean:
     frozen value, and ``power:p`` for a real exponent p, built on each call
     (p = 0 maps to geometric).
     """
-    if name in _NAMED_MEANS:
+    if isinstance(name, str) and name in _NAMED_MEANS:
         return _NAMED_MEANS[name]
-    if name.startswith("power:"):
+    if isinstance(name, str) and name.startswith("power:"):
         try:
             p = float(name.split(":", 1)[1])
         except ValueError:
@@ -158,12 +158,6 @@ def _clenshaw(rev: list, u: float) -> float:
     for a in rev:
         b1, b2 = a + u2 * b1 - b2, b1
     return b1 - u * b2
-
-
-def _linspace(a: float, b: float, n: int) -> list:
-    """``n`` evenly spaced points from ``a`` to ``b``, both ends exact."""
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n - 1)] + [b]
 
 
 @functools.cache  # build() fits at degrees 32, 64, ..., 512 only

@@ -19,9 +19,11 @@ from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNest
 from .intervals import IntervalSet, normalize
 from .measures import (
     _EPS,
+    _SHAPES,
     MeasureSpec,
     RatioCertificate,
     _check_count,
+    _linspace,
     density_ratio_increasing,
 )
 from .quadrature import PanelSums, quad
@@ -288,27 +290,20 @@ def exp_avg_log(H: IntervalSet) -> float:
 def m_bound(spec: MeasureSpec, interval: tuple[float, float]) -> BoundPair:
     """Bounds on mu(J)/lambda(J) over subintervals J of ``interval``.
 
-    For a declared monotone density the infimum and supremum are the density
-    limits at the interval's ends (exact).  Otherwise the extremes of the
-    density at 65 uniform points, the ends included, give inner estimates: a
-    continuous density at a point is the limit of mu(J)/lambda(J) as J
-    shrinks to it.  No primitive is differenced, so a window only a few ulps
-    wide is bounded as well as a wide one.
+    For a declared density shape the bounds are the density at the ends
+    (exact).  Otherwise the extremes of the density on ``_linspace``'s 65
+    points give inner estimates: a continuous density at a point is the
+    limit of mu(J)/lambda(J) as J shrinks to it.  No primitive is
+    differenced, so a window a few ulps wide is bounded as well as a wide one.
     """
     [(lo, hi)] = spec.require_window(interval)
-    step = (hi - lo) / 64
-    if not math.isfinite(step):  # the width overflows; its 64ths do not
-        step = hi / 64 - lo / 64
+    exact = spec.density_shape in _SHAPES
     try:
-        if spec.density_shape == "decreasing":
-            return BoundPair(m=spec.density(hi), M=spec.density(lo), exact=True)
-        if spec.density_shape == "increasing":
-            return BoundPair(m=spec.density(lo), M=spec.density(hi), exact=True)
-        ws = [spec.density(lo + j * step) for j in range(64)] + [spec.density(hi)]
+        ws = list(map(spec.density, (lo, hi) if exact else _linspace(lo, hi, 65)))
     except (OverflowError, ZeroDivisionError):
         raise DomainError(f"density of {spec.name!r} leaves double range "
                           f"on {interval!r}") from None
-    return BoundPair(m=min(ws), M=max(ws), exact=False)
+    return BoundPair(m=min(ws), M=max(ws), exact=exact)
 
 
 def infinity_sweep(spec: MeasureSpec, H: IntervalSet,
@@ -326,9 +321,9 @@ def infinity_sweep(spec: MeasureSpec, H: IntervalSet,
     rows = []
     for x in shifts:
         Hx = H.translate(x)
-        if Hx.is_empty:  # every interval is narrower than an ulp at x
-            raise DomainError(f"shift {x!r} rounds the set to nothing "
-                              "in double precision")
+        if len(Hx) != len(H):  # rounding at x dropped or merged intervals
+            to = "nothing" if Hx.is_empty else f"{len(Hx)} of its {len(H)} intervals"
+            raise DomainError(f"shift {x!r} rounds the set to {to} in double precision")
         v = mean(spec, Hx).value
         a = avg(Hx)
         bounds = m_bound(spec, (lo + x, hi + x))

@@ -30,17 +30,20 @@ from .quadrature import PanelSums, quad
 
 _EPS = 2.0 ** -50  # a couple of ulps, for rounding-error propagation
 _E2 = math.e ** 2
+_SHAPES = ("increasing", "decreasing")  # the declared density shapes
 
 
 @dataclass(frozen=True)
 class MeasureSpec:
     """A measure with density ``density`` on the open interval ``domain``.
 
-    ``density_shape`` declares weak monotonicity of the density ("increasing",
-    "decreasing", or "none" when unknown); a constant density counts as weakly
-    increasing.  ``construction`` carries the ``construct.ConstructedMeasure``
-    a built measure came from, and nothing else; set integrals take its one
-    pass per endpoint while ``cdf`` and ``antiderivative`` are its own.
+    ``density_shape`` declares a weakly monotone density only as "increasing"
+    (a constant counts) or "decreasing"; any other value, "none" by default,
+    declares nothing.  ``means.m_bound`` and :func:`density_ratio_increasing`
+    sample one grid, :func:`_linspace`.  ``construction`` carries the
+    ``construct.ConstructedMeasure`` a built measure came from: set integrals
+    take its one pass per endpoint while ``cdf`` and ``antiderivative`` are
+    its own, and call them for any other construction.
     """
 
     name: str
@@ -125,8 +128,8 @@ class MeasureSpec:
                                        + _EPS * max(abs(lo), abs(hi)) * r.value)
             else:
                 # one pass per endpoint gives a construction's own f and F
-                at = (cm._eval if cm is not None and f == cm.f and F == cm.F
-                      else None)
+                at = (cm._eval if f == getattr(cm, "f", None)
+                      and F == getattr(cm, "F", None) else None)
                 for lo, hi in pairs:
                     if at is not None:
                         (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
@@ -220,6 +223,15 @@ def _check_count(value, name: str, least: int = 0) -> int:
     return n
 
 
+def _linspace(a: float, b: float, n: int) -> list:
+    """``n`` evenly spaced points from ``a`` to ``b``, both ends exact, all
+    in ``[a, b]``: a width past double range is stepped on the halved ends."""
+    step = (b - a) / (n - 1)
+    if not math.isfinite(step):
+        return [2.0 * x for x in _linspace(a / 2, b / 2, n)]
+    return [a + i * step for i in range(n - 1)] + [b]
+
+
 # -- monotone density-ratio certificate -------------------------------------
 
 
@@ -239,13 +251,13 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
 
     A finite grid cannot prove monotonicity on its own, so the verdict is
     "certified" only when the grid is nondecreasing and both measures declare
-    a density shape; with undeclared shapes a clean grid is "inconclusive".
-    A decrease on the grid refutes with the witness pair.
+    a density shape, "increasing" or "decreasing"; otherwise a clean grid of
+    ``_linspace(lo, hi, n_probe)`` is "inconclusive".  A decrease on the grid
+    refutes with the witness pair.
     """
     [(a, b)] = box = numer.require_window(interval)
     denom.require_domain(box)
-    n_probe = _check_count(n_probe, "n_probe", least=2)
-    xs = [a + (b - a) * i / (n_probe - 1) for i in range(n_probe)]
+    xs = _linspace(a, b, _check_count(n_probe, "n_probe", least=2))
     ratios = []
     try:
         for x in xs:
@@ -262,9 +274,9 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
             return RatioCertificate(
                 "refuted", (xs[i], xs[i + 1], ratios[i], ratios[i + 1])
             )
-    if numer.density_shape == "none" or denom.density_shape == "none":
-        return RatioCertificate("inconclusive")
-    return RatioCertificate("certified")
+    if numer.density_shape in _SHAPES and denom.density_shape in _SHAPES:
+        return RatioCertificate("certified")
+    return RatioCertificate("inconclusive")
 
 
 # -- catalog -----------------------------------------------------------------
@@ -438,7 +450,7 @@ def catalog(name: str) -> MeasureSpec:
     """The built-in measure of that name: one shared, frozen spec."""
     try:
         return _CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownMeasure(
             f"unknown measure {name!r}; choose from {', '.join(CATALOG_NAMES)}"
         ) from None

@@ -281,11 +281,14 @@ def run_suites(names=None, cases: int = 500, seed: int = 0) -> list[SuiteResult]
     with ``seed + 101 i``, so one suite run alone reproduces its part of a
     larger run when given that seed.
     """
-    chosen = list(ALL_SUITES) if names is None else list(names)
+    try:
+        chosen = list(ALL_SUITES) if names is None else list(names)
+    except TypeError:  # not an iterable of names
+        chosen = [names]
     if not chosen:
         raise UnknownMeasure(f"no suite named; choose from {', '.join(ALL_SUITES)}")
     for name in chosen:
-        if name not in ALL_SUITES:
+        if not (isinstance(name, str) and name in ALL_SUITES):
             raise UnknownMeasure(
                 f"unknown suite {name!r}; choose from {', '.join(ALL_SUITES)}"
             )

@@ -122,6 +122,15 @@ def test_sweep_shift_that_rounds_the_set_away_is_named(capsys):
                    "in double precision\n")
 
 
+def test_sweep_shift_that_merges_intervals_is_named(capsys):
+    # [2.5, 2.7] + 1e16 rounds into [1, 2] + 1e16: one interval, not H + x
+    code, out, err = run(capsys, "sweep", "--measure", "lebesgue",
+                         "--set", "[1,2] U [2.5,2.7]", "--shifts", "0,1e16")
+    assert (code, out) == (3, "")
+    assert err == ("numeric failure: shift 1e+16 rounds the set to 1 of its 2 "
+                   "intervals in double precision\n")
+
+
 @pytest.mark.parametrize("shifts", [",", "1,x"])
 def test_bad_shift_lists_are_usage_errors(capsys, shifts):
     code, out, err = run(capsys, "sweep", "--measure", "geometric",

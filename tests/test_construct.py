@@ -36,11 +36,11 @@ from meanmeasure import measures
 from meanmeasure.construct import (
     _chebvander,
     _clenshaw,
-    _linspace,
     _log_slope_integral,
     _slope_series,
     _vals2coeffs,
 )
+from meanmeasure.measures import _linspace
 
 E = math.e
 WINDOW = (0.25, 64.0)

@@ -347,9 +347,13 @@ def test_m_bound_grid_estimate_on_a_window_of_a_few_ulps():
     w_lo, w_hi = map(anon.density, window)
     assert not bp.exact
     assert w_hi <= bp.m <= bp.M <= w_lo
-    # a window wider than double range is sampled by its 64ths
-    flat = dataclasses.replace(catalog("lebesgue"), density_shape="none")
+    # a window wider than double range is stepped on its halved ends, so
+    # every one of the 65 points is finite and inside it
+    seen = []
+    flat = dataclasses.replace(catalog("lebesgue"), density_shape="none",
+                               density=lambda x: seen.append(x) or 1.0)
     assert m_bound(flat, (-1e308, 1e308)) == (1.0, 1.0, False)
+    assert len(seen) == 65 and all(-1e308 <= x <= 1e308 for x in seen)
 
 
 def test_infinity_sweep_geometric():
@@ -368,6 +372,21 @@ def test_infinity_sweep_geometric():
         infinity_sweep(catalog("geometric"), normalize([(1, 2)]), ["x"])
     with pytest.raises(EmptySet):
         infinity_sweep(catalog("geometric"), IntervalSet(), [0.0])
+
+
+def test_infinity_sweep_refuses_a_shift_that_merges_or_drops_intervals():
+    leb = catalog("lebesgue")
+    H = normalize([(1.0, 2.0), (2.5, 2.7)])
+    # at 1e16 the ulp is 2: [2.5, 2.7] + 1e16 rounds to a point inside [1, 2] + 1e16
+    with pytest.raises(DomainError, match=r"shift 1e\+16 rounds the set to "
+                       r"1 of its 2 intervals in double precision"):
+        infinity_sweep(leb, H, [0.0, 1e16])
+    # at 1e17 the ulp is 16: the pieces round to [1e17, 1e17] and vanish
+    with pytest.raises(DomainError, match=r"shift 1e\+17 rounds the set to "
+                       r"nothing in double precision"):
+        infinity_sweep(leb, H, [1e17])
+    rows = infinity_sweep(leb, H, [0.0, 1e4, 1e8])
+    assert [r.x for r in rows] == [0.0, 1e4, 1e8]
 
 
 def test_double_integral_examples():

@@ -26,7 +26,9 @@ from meanmeasure import (
     random_interval_union,
 )
 from meanmeasure import measures
+from meanmeasure.construct import ordinary_mean
 from meanmeasure.verify import _WINDOWS as VERIFY_WINDOWS
+from meanmeasure.verify import run_suites
 
 E2 = math.e ** 2
 
@@ -52,6 +54,20 @@ def test_catalog_names_and_unknown():
     }
     with pytest.raises(UnknownMeasure):
         catalog("cauchy")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: catalog(["x"]),
+    lambda: catalog(3),
+    lambda: run_suites([["x"]]),
+    lambda: run_suites(5),
+    lambda: ordinary_mean(3),
+    lambda: ordinary_mean(["power:2"]),
+], ids=["catalog-list", "catalog-int", "run_suites-list", "run_suites-int",
+        "ordinary_mean-int", "ordinary_mean-list"])
+def test_a_name_that_is_not_a_string_is_unknown(call):
+    with pytest.raises(UnknownMeasure, match="choose"):
+        call()
 
 
 def test_catalog_returns_one_shared_value_per_name():
@@ -237,11 +253,13 @@ def test_mu_never_forms_the_moment():
         mean(spec, H)
 
 
+# the three tests below seed their generators from (test, catalog position):
+# a str hash is salted per process, so a failure seeded by it never replays
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_density_integrates_to_cdf_difference(name):
     spec = catalog(name)
     lo, hi = WINDOWS[name]
-    rng = np.random.default_rng(hash(name) % 2 ** 32)
+    rng = np.random.default_rng([0, CATALOG_NAMES.index(name)])
     for _ in range(200):
         a, b = np.sort(rng.uniform(lo, hi, size=2))
         if b - a < 1e-6:
@@ -255,7 +273,7 @@ def test_density_integrates_to_cdf_difference(name):
 def test_moment_closed_form_matches_quadrature(name):
     spec = catalog(name)
     lo, hi = WINDOWS[name]
-    rng = np.random.default_rng((hash(name) + 1) % 2 ** 32)
+    rng = np.random.default_rng([1, CATALOG_NAMES.index(name)])
     for _ in range(200):
         a, b = np.sort(rng.uniform(lo, hi, size=2))
         if b - a < 1e-6:
@@ -270,7 +288,7 @@ def test_moment_closed_form_matches_quadrature(name):
 def test_mu_additive_and_positive(name):
     spec = catalog(name)
     lo, hi = WINDOWS[name]
-    rng = np.random.default_rng((hash(name) + 2) % 2 ** 32)
+    rng = np.random.default_rng([2, CATALOG_NAMES.index(name)])
     for _ in range(100):
         pts = np.sort(rng.uniform(lo, hi, size=4))
         A = normalize([(pts[0], pts[1])])
@@ -522,6 +540,22 @@ def test_catalog_kernel_never_calls_the_density(name):
     assert calls == []
 
 
+@pytest.mark.parametrize("construction", ["built", object(), catalog("lebesgue")])
+def test_a_construction_that_is_not_a_built_measure_is_absent(construction):
+    # set sums call the primitives, as with no construction at all
+    g = catalog("geometric")
+    calls = []
+    primitives = dict(cdf=lambda x: calls.append(x) or g.cdf(x),
+                      antiderivative=lambda x: calls.append(x) or g.antiderivative(x))
+    plain = MeasureSpec(name="g", domain=g.domain, density=g.density, **primitives)
+    odd = dataclasses.replace(plain, construction=construction)
+    H = normalize([(1.0, 2.0), (3.0, 5.0)])
+    want = plain.integrate(H), mean(plain, H), plain.mu(H)
+    calls.clear()
+    assert (odd.integrate(H), mean(odd, H), odd.mu(H)) == want
+    assert len(calls) == 8 + 8 + 4  # f and F at 4 endpoints twice, then f
+
+
 @pytest.mark.parametrize("n_probe", [0, 1])
 def test_ratio_needs_two_probe_points(n_probe):
     g, leb = catalog("geometric"), catalog("lebesgue")
@@ -561,6 +595,40 @@ def test_ratio_inconclusive_without_declared_shape():
                        density_shape="none")
     cert = density_ratio_increasing(catalog("lebesgue"), anon, (0.1, 100.0))
     assert cert.status == "inconclusive"
+
+
+def test_ratio_needs_a_declared_shape_not_any_string():
+    # only "increasing" and "decreasing" declare a shape, as for m_bound
+    leb = catalog("lebesgue")
+    for shape in ("decreasnig", "whatever", "", None):
+        typo = dataclasses.replace(catalog("geometric"), density_shape=shape)
+        assert density_ratio_increasing(leb, typo, (0.1, 100.0)).status == \
+            "inconclusive"
+        assert density_ratio_increasing(typo, typo, (0.1, 100.0)).status == \
+            "inconclusive"
+        assert not m_bound(typo, (0.1, 100.0)).exact
+    wavy = MeasureSpec(name="wavy", domain=(-math.inf, math.inf),
+                       density=lambda x: 2.0 + math.sin(x),
+                       density_shape="whatever")
+    assert density_ratio_increasing(wavy, leb, (0.0, 1.0)).status == "inconclusive"
+
+
+def test_ratio_probes_a_window_wider_than_double_range_inside_it():
+    # the width 2e308 overflows; each probe must still be a finite point
+    # of the window, for both densities
+    seen = []
+    numer, denom = (MeasureSpec(name=n, domain=(-math.inf, math.inf),
+                                density=lambda x, c=c: seen.append(x) or c,
+                                density_shape="increasing")
+                    for n, c in (("two", 2.0), ("one", 1.0)))
+    window = (-1e308, 1e308)
+    for n_probe in (2, 3, 128, 1000):
+        seen.clear()
+        cert = density_ratio_increasing(numer, denom, window, n_probe=n_probe)
+        assert cert.status == "certified"
+        assert len(seen) == 2 * n_probe
+        assert all(-1e308 <= x <= 1e308 for x in seen)
+        assert seen[0] == -1e308 and seen[-1] == 1e308
 
 
 def test_ratio_rejects_nonpositive_density():
