@@ -6,6 +6,11 @@ with ``lo < hi`` and a strictly positive gap between consecutive intervals;
 degenerate points are dropped and touching intervals are merged (the
 distinction is null for every measure in the catalog, all of which are
 atomless).  Values are immutable, so all operations are pure.
+
+Difference scans both operands once, its cursor into the second moving only
+forward; intersection is the double difference ``A - (A - B)``, and the
+other operations are built on those two: all are O(n + m) but ``union``,
+which sorts.
 """
 
 from __future__ import annotations
@@ -98,32 +103,23 @@ class IntervalSet:
         return _merged(sorted(self.intervals + other.intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            # advance whichever interval ends first
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
+        return self.subtract(self.subtract(other))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         out = []
+        cuts = other.intervals
+        j = 0
         for lo, hi in self.intervals:
-            # a cut past ``hi`` leaves the next one, a gap further on, to stop
-            for blo, bhi in other.intervals:
-                if blo >= hi:
-                    break
+            while j < len(cuts) and cuts[j][0] < hi:
+                blo, bhi = cuts[j]
                 if bhi > lo:
                     if blo > lo:
                         out.append((lo, blo))
                     lo = bhi
+                if bhi > hi:
+                    break  # the cut may reach into the next interval too
+                # it ends at or before ``hi``, so before every later interval
+                j += 1
             if lo < hi:
                 out.append((lo, hi))
         return IntervalSet(tuple(out))

@@ -128,8 +128,8 @@ def cantor_probe(spec: MeasureSpec, chain: Sequence[IntervalSet]) -> list[float]
     for i in range(len(chain) - 1):
         if not chain[i + 1].is_subset_of(chain[i]):
             raise NotNested(f"chain element {i + 1} is not contained in element {i}")
-    last = mean(spec, chain[-1]).value
-    return [abs(mean(spec, H).value - last) for H in chain]
+    values = [mean(spec, H).value for H in chain]
+    return [abs(v - values[-1]) for v in values]
 
 
 class MonotonicityReport(NamedTuple):
@@ -244,6 +244,8 @@ def certify_leq(mu_spec: MeasureSpec, nu_spec: MeasureSpec,
         rng = random.Random(None if rng is None else _check_count(rng, "seed"))
     [(lo, hi)] = box = mu_spec.require_window(window)
     nu_spec.require_domain(box)
+    if not math.isfinite(hi - lo):  # rng.uniform(lo, hi) would draw inf
+        raise InvalidInterval(f"window needs a finite width, got {window!r}")
 
     for _ in range(n_probe):
         a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))

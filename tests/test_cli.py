@@ -356,6 +356,13 @@ def test_window_typos_are_usage_errors(capsys, command, window):
     assert err.startswith("error: window")
 
 
+def test_compare_on_a_window_too_wide_names_the_window(capsys):
+    code, out, err = run(capsys, "compare", "--mu", "lebesgue",
+                         "--nu", "lebesgue", "--window=-1e308,1e308")
+    assert code == 2 and out == ""
+    assert err == "error: window needs a finite width, got (-1e+308, 1e+308)\n"
+
+
 def test_sweep_determinism(capsys):
     args = ("sweep", "--measure", "geometric", "--set", "[1,2] U [3,4]",
             "--shifts", "0,1,10")

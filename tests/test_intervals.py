@@ -3,7 +3,9 @@
 import copy
 import math
 import pickle
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,100 @@ def test_union_keeps_a_lone_infinite_end():
     merged = half_line.union(normalize([(0.5, 2), (3, 4)]))
     assert merged.intervals == ((-math.inf, 2.0), (3.0, 4.0))
     assert half_line.union(EMPTY) == half_line
+
+
+def _nested_scan_subtract(a, b):
+    """Reference difference: rescans ``b`` from its start for each interval."""
+    out = []
+    for lo, hi in a:
+        for blo, bhi in b:
+            if blo >= hi:
+                break
+            if bhi > lo:
+                if blo > lo:
+                    out.append((lo, blo))
+                lo = bhi
+        if lo < hi:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _two_pointer_intersect(a, b):
+    """Reference intersection: clip the current pair, advance the one ending first."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def test_set_operations_match_the_reference_scans_exactly():
+    # few distinct endpoints, so ends are often shared or touching
+    ends = [-0.0, 0.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
+    rng = random.Random(31)
+
+    def draw():
+        r = rng.random()
+        if r < 0.05:
+            return EMPTY
+        H = normalize([sorted((rng.choice(ends), rng.choice(ends)))
+                       for _ in range(rng.randint(1, 6))])
+        if r < 0.15:
+            return H.union(IntervalSet(((rng.choice(ends), math.inf),)))
+        if r < 0.25:  # the half-line slice_below intersects with
+            return IntervalSet(((-math.inf, rng.choice(ends)),)).union(H)
+        return H
+
+    for _ in range(5000):
+        A, B, y = draw(), draw(), rng.choice(ends)
+        a, b = A.intervals, B.intervals
+        diff = _nested_scan_subtract(a, b)
+        inter = _two_pointer_intersect(a, b)
+        sym = IntervalSet(diff).union(IntervalSet(_nested_scan_subtract(b, a)))
+        pairs = [
+            (A.subtract(B).intervals, diff),
+            (A.intersect(B).intervals, inter),
+            (A.symdiff(B).intervals, sym.intervals),
+            (A.slice_below(y).intervals,
+             _two_pointer_intersect(a, ((-math.inf, y),))),
+            (A.slice_above(y).intervals,
+             _two_pointer_intersect(a, ((y, math.inf),))),
+            (A.is_subset_of(B), not diff),
+            (A.is_disjoint_from(B), not inter),
+        ]
+        for got, want in pairs:
+            # repr also tells -0.0 from 0.0
+            assert repr(got) == repr(want), (A, B, y)
+
+
+def _smith_volterra_cantor(level):
+    """Level ``level`` truncation of the Smith-Volterra-Cantor set in [1, 2]."""
+    pairs = [(0.0, 1.0)]
+    for n in range(1, level + 1):
+        half_gap = 0.5 * 0.25 ** n
+        pairs = [p for lo, hi in pairs
+                 for m in [0.5 * (lo + hi)]
+                 for p in ((lo, m - half_gap), (m + half_gap, hi))]
+    return normalize([(1.0 + lo, 1.0 + hi) for lo, hi in pairs])
+
+
+def test_set_algebra_is_linear_on_fat_cantor_truncations():
+    coarse, fine = _smith_volterra_cantor(14), _smith_volterra_cantor(15)
+    assert (len(coarse), len(fine)) == (16384, 32768)
+    start = time.perf_counter()
+    gaps = coarse.symdiff(fine)
+    nested = fine.is_subset_of(coarse)
+    # n * m steps took 16 s; one forward scan takes hundredths of a second
+    assert time.perf_counter() - start < 1.0
+    assert nested and len(gaps) == 16384
+    assert gaps == coarse.subtract(fine)
 
 
 def test_interval_sets_are_read_only_values():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import meanmeasure.means as means_module
 from meanmeasure import (
     DomainError,
     EmptySet,
@@ -198,6 +199,15 @@ def test_cantor_probe_vanishing_extra_piece():
     gaps = cantor_probe(leb, chain)
     assert gaps[-1] == 0.0
     assert gaps[-2] < 1e-1 * gaps[0]
+
+
+def test_cantor_probe_computes_each_mean_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(means_module, "mean",
+                        lambda spec, H: seen.append(H) or mean(spec, H))
+    chain = [normalize([(1.0, 2.0 + 1.0 / i)]) for i in range(1, 5)]
+    gaps = cantor_probe(catalog("geometric"), chain)
+    assert seen == chain and gaps[-1] == 0.0
 
 
 def test_cantor_probe_rejects_non_chain():
@@ -492,3 +502,13 @@ def test_random_interval_union_rejects_bad_input_before_drawing(
         random_interval_union(rng, window, max_intervals=max_intervals,
                               min_intervals=min_intervals)
     assert rng.draws == 0
+
+
+def test_certify_leq_rejects_a_window_too_wide_before_drawing():
+    # finite ends whose width overflows: rng.uniform would draw inf
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InvalidInterval, match=r"\(-1e\+308, 1e\+308\)"):
+        certify_leq(catalog("lebesgue"), catalog("lebesgue"), (-1e308, 1e308),
+                    rng=rng)
+    assert rng.getstate() == state
