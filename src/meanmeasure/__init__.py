@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     QuadratureError,
     UnknownMeasure,
+    WidthOverflow,
 )
 from .intervals import EMPTY, IntervalSet, normalize
 from .means import (
@@ -109,6 +110,7 @@ __all__ = [
     "SweepRow",
     "UniquenessResult",
     "UnknownMeasure",
+    "WidthOverflow",
     "avg",
     "build",
     "cantor_probe",

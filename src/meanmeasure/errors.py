@@ -9,6 +9,12 @@ class InvalidInterval(MeanMeasureError):
     """Interval endpoints are non-finite, reversed, or degenerate where forbidden."""
 
 
+class WidthOverflow(InvalidInterval, OverflowError):
+    """An interval's width ``b - a`` overflows double precision.  It is also
+    an OverflowError, so code that turns an overflow into a DomainError
+    turns this one too."""
+
+
 class EmptySet(MeanMeasureError):
     """An operation that needs a nonempty set received an empty one."""
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, InvalidInterval, UnknownMeasure
 from .intervals import IntervalSet, normalize
-from .quadrature import PanelSums, quad
+from .quadrature import PanelSums, _meets, quad
 
 _EPS = 2.0 ** -50  # a couple of ulps, for rounding-error propagation
 _E2 = math.e ** 2
@@ -115,17 +115,22 @@ class MeasureSpec:
             elif f is None or F is None:
                 # one panel table for the set: the passes of an interval share it
                 table = PanelSums(self.density)
+                mass_pass, moment_pass = table.mass, table.moment
                 for lo, hi in pairs:
-                    r = quad(table.mass, lo, hi)
-                    mass += r.value
+                    value, err, _ = quad(mass_pass, lo, hi)
+                    mass += value
                     # plus the rounding quad misses, as in the moment pass
-                    mass_err += r.error_estimate + _EPS * abs(r.value)
+                    mass_err += err + _EPS * abs(value)
                     if with_moment:
-                        m = quad(table.moment, lo, hi)
-                        moment += m.value
+                        # the mass pass built [lo, hi]'s row: a first panel of
+                        # x w that meets quad's default test is what quad
+                        # returns, with no evaluation
+                        m, m_err, _ = moment_pass.panel(lo, hi)
+                        if not _meets(m, m_err):
+                            m, m_err, _ = quad(moment_pass, lo, hi)
+                        moment += m
                         # plus the rounding quad misses where x w(x) cancels
-                        moment_err += (m.error_estimate
-                                       + _EPS * max(abs(lo), abs(hi)) * r.value)
+                        moment_err += m_err + _EPS * max(abs(lo), abs(hi)) * value
             else:
                 # one pass per endpoint gives a construction's own f and F
                 at = (cm._eval if f == getattr(cm, "f", None)

@@ -19,6 +19,11 @@ of its passes (``mass``, ``moment``, ``inner(y)`` or ``outer(g)``) in place
 of an integrand and reads each panel from the table.  Every pass still keeps
 its own partition, error estimate, stopping rule and panel budget: only the
 density evaluations behind the panels are shared.
+
+A set mean's moment pass over an interval reads its first panel from the
+row that the mass pass built there, and calls ``quad`` only when that panel
+misses ``quad``'s first-panel test at the default tolerances (``_meets``):
+a panel that meets it is what ``quad`` would return, with no evaluation.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ import functools
 import heapq
 import math
 import operator
+import sys
 from typing import NamedTuple
 
-from .errors import InvalidInterval, QuadratureError
+from .errors import InvalidInterval, QuadratureError, WidthOverflow
 
 # 15-point Kronrod abscissae on [-1, 1] (non-negative half) and weights,
 # with the embedded 7-point Gauss weights on the odd-indexed abscissae.
@@ -59,6 +65,11 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+
+
+_ABS_TOL = 1e-10  # quad's default tolerances
+_REL_TOL = 1e-9
+_MAX = sys.float_info.max
 
 
 class QuadratureResult(NamedTuple):
@@ -117,7 +128,13 @@ def _new_row(density, lo, hi):
     ``(K, K - G)`` sums of ``w``, and a slot for those of ``x w``."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    xs = [center + half * t for t in _T]
+    # written out: a comprehension over _T takes twice as long
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14 = _T
+    xs = [center + half * t0, center + half * t1, center + half * t2,
+          center + half * t3, center + half * t4, center + half * t5,
+          center + half * t6, center + half * t7, center + half * t8,
+          center + half * t9, center + half * t10, center + half * t11,
+          center + half * t12, center + half * t13, center + half * t14]
     ws = list(map(density, xs))
     return [xs, ws, half, _sums(ws, half, lo, hi), None]
 
@@ -200,17 +217,14 @@ class PanelSums:
         return _Pass(panel)
 
 
-def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
-         max_panels: int = 10_000) -> QuadratureResult:
-    """Integrate ``fn`` over ``[a, b]`` to the requested tolerance.
+def _meets(value, err, abs_tol=_ABS_TOL, rel_tol=_REL_TOL) -> bool:
+    """``quad``'s stopping test: ``err <= max(abs_tol, rel_tol * |value|)``."""
+    return err <= abs_tol or err <= rel_tol * abs(value)
 
-    The target is ``|value - integral| <= max(abs_tol, rel_tol * |value|)``.
-    ``fn`` is a callable or a pass of a :class:`PanelSums` table; the result's
-    ``evaluations`` counts the integrand (or density) evaluations made.
-    Raises :class:`QuadratureError` carrying the best partial result when the
-    panel budget (``max_panels``, at least 1) is exhausted first, or when
-    every panel left is too narrow to bisect.
-    """
+
+def _checked_budget(a, b, abs_tol, rel_tol, max_panels) -> int:
+    """Check ``quad``'s arguments one by one and return the panel budget as
+    an int; the first argument at fault raises InvalidInterval."""
     try:
         if not (a < b):
             raise InvalidInterval(f"quad needs a < b, got ({a!r}, {b!r})")
@@ -219,19 +233,56 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
         if not (abs_tol >= 0.0 and rel_tol >= 0.0):
             raise InvalidInterval("quad needs non-negative tolerances, got "
                                   f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
-        if not (max_panels >= 1):
-            raise InvalidInterval(f"quad needs a panel budget of at least 1, "
-                                  f"got {max_panels!r}")
     except (TypeError, OverflowError):
         raise InvalidInterval(
             f"quad needs real numbers in double range, got a={a!r}, b={b!r}, "
             f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}, max_panels={max_panels!r}"
         ) from None
+    # the half width 0.5 * (b - a) places every node
+    if b - a > _MAX:
+        raise WidthOverflow(f"quad needs a width b - a in double range, got "
+                            f"{b - a!r} on ({a!r}, {b!r})")
+    try:
+        budget = operator.index(max_panels)
+    except TypeError:
+        budget = 0
+    if budget < 1:
+        raise InvalidInterval("quad needs an integer panel budget of at least 1, "
+                              f"got {max_panels!r}")
+    return budget
+
+
+def quad(fn, a, b, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL,
+         max_panels: int = 10_000) -> QuadratureResult:
+    """Integrate ``fn`` over ``[a, b]`` to the requested tolerance.
+
+    The target is ``|value - integral| <= max(abs_tol, rel_tol * |value|)``.
+    ``fn`` is a callable or a pass of a :class:`PanelSums` table; the result's
+    ``evaluations`` counts the integrand (or density) evaluations made.
+    Raises :class:`InvalidInterval` before any evaluation unless ``a < b``
+    are real numbers whose width ``b - a`` is in double range
+    (:class:`WidthOverflow` when only the width is not), the tolerances are
+    non-negative and ``max_panels`` is an integer of at least 1.  Raises
+    :class:`QuadratureError` carrying the best partial result when the panel
+    budget is exhausted first, or when every panel left is too narrow to
+    bisect.
+    """
+    try:
+        # valid arguments pass this one test; anything else, a string or
+        # None included, meets the checks one by one
+        valid = (-_MAX <= a < b <= _MAX and b - a <= _MAX and abs_tol >= 0.0
+                 and rel_tol >= 0.0 and type(max_panels) is int
+                 and max_panels >= 1)
+    except TypeError:
+        valid = False
+    if not valid:
+        max_panels = _checked_budget(a, b, abs_tol, rel_tol, max_panels)
     panel = fn.panel if isinstance(fn, _Pass) else functools.partial(_panel, fn)
     value, err, evals = panel(a, b)
     # one panel's totals are exact: most passes stop here
-    if err <= abs_tol or err <= rel_tol * abs(value):
-        return QuadratureResult(value, err, evals)
+    if _meets(value, err, abs_tol, rel_tol):
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return tuple.__new__(QuadratureResult, (value, err, evals))
     pushes = 0  # breaks ties between equal errors in push order
     # heap entries: (-error, push, lo, hi, value, error)
     heap = [(-err, pushes, a, b, value, err)]
@@ -241,6 +292,7 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     total_val, total_err = value, err
     while True:
         spent = count >= max_panels or not heap
+        # _meets written out: a call per bisection costs a double integral 4%
         if (spent or total_err <= abs_tol
                 or total_err <= rel_tol * abs(total_val)):
             kept = heap + done
@@ -248,7 +300,7 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
                 total_val = math.fsum([p[4] for p in kept])
                 total_err = math.fsum([p[5] for p in kept])
             if total_err <= abs_tol or total_err <= rel_tol * abs(total_val):
-                return QuadratureResult(total_val, total_err, evals)
+                return tuple.__new__(QuadratureResult, (total_val, total_err, evals))
             if spent:
                 cause = (f"panel budget {max_panels} exhausted"
                          if count >= max_panels
@@ -258,10 +310,12 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
                     result=QuadratureResult(total_val, total_err, evals),
                 )
             # the running totals had drifted: go on from the exact sums
-        _, _, lo, hi, v, e = item = heapq.heappop(heap)
+        # the worst panel is replaced by its left half, at no extra sift:
+        # keys (-error, push) are unique, so the pop order is the same
+        _, _, lo, hi, v, e = heap[0]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            done.append(item)
+            done.append(heapq.heappop(heap))
             continue
         v1, e1, n1 = panel(lo, mid)
         v2, e2, n2 = panel(mid, hi)
@@ -269,6 +323,6 @@ def quad(fn, a, b, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
         count += 1
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, pushes + 1, lo, mid, v1, e1))
+        heapq.heapreplace(heap, (-e1, pushes + 1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, pushes + 2, mid, hi, v2, e2))
         pushes += 2

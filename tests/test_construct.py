@@ -495,7 +495,9 @@ def test_built_measure_without_primitives_uses_quadrature(built, monkeypatch):
     H = normalize([(2.0, 3.0), (4.0, 5.0)])
     assert mean(spec, H).value == pytest.approx(mean(built["geometric"], H).value,
                                                 rel=1e-9)
-    assert len(calls) == 2 * 2
+    # a mass pass per interval; each moment's first panel, read from the
+    # mass pass's row, meets quad's tolerance, so it makes no quad call
+    assert len(calls) == 2
 
 
 def test_replaced_primitive_is_called(built):

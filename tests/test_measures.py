@@ -26,6 +26,7 @@ from meanmeasure import (
     random_interval_union,
 )
 from meanmeasure import measures
+from meanmeasure.quadrature import PanelSums
 from meanmeasure.construct import ordinary_mean
 from meanmeasure.verify import _WINDOWS as VERIFY_WINDOWS
 from meanmeasure.verify import run_suites
@@ -200,15 +201,61 @@ def test_quadrature_err_bounds_the_error(name):
     assert np.median(ratios) <= ERR_MEDIAN_BOUND[name]
 
 
+def _two_quad_passes(density, H, with_moment=True):
+    """Mass, mass error, moment and moment error of ``H`` from one panel table
+    and two ``quad`` passes per interval (one without the moment): the loop
+    mean's quadrature path ran before its moment read the first panel from
+    the mass pass's row."""
+    table = PanelSums(density)
+    mass = mass_err = moment = moment_err = 0.0
+    for lo, hi in H:
+        r = quad(table.mass, lo, hi)
+        mass += r.value
+        mass_err += r.error_estimate + measures._EPS * abs(r.value)
+        if with_moment:
+            m = quad(table.moment, lo, hi)
+            moment += m.value
+            moment_err += (m.error_estimate
+                           + measures._EPS * max(abs(lo), abs(hi)) * r.value)
+    return mass, mass_err, moment, moment_err
+
+
+def _value_and_err(mass, mass_err, moment, moment_err):
+    """``mean``'s value and error bound from a set's sums."""
+    value = moment / mass
+    return value, ((moment_err + abs(value) * mass_err) / mass
+                   + 4.0 * measures._EPS * abs(value))
+
+
+# unions on which both the mass and the moment pass bisect
+BISECTING = {
+    "harmonic": [[(0.1, 0.3), (0.4, 5.0), (6.0, 90.0)], [(0.1, 100.0)]],
+    "geometric": [[(0.1, 0.2), (0.3, 5.0), (6.0, 99.0)], [(0.1, 100.0)]],
+    "exponential": [[(690.0, 699.5), (699.8, 700.5)]],
+}
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_shared_panels_match_two_quad_passes(name):
     # mean's mass and moment passes read one panel table; each must give
-    # what its own quad pass over a plain integrand gives, bit for bit
-    spec = dataclasses.replace(catalog(name), cdf=None, antiderivative=None)
-    w = spec.density
+    # what its own quad pass over a plain integrand gives, bit for bit, and
+    # mean, integrate and mu must give what two quad passes over one table
+    # give, with the density called at the same points in the same order
+    base = catalog(name)
+    w = base.density
+    calls = []
+    spec = dataclasses.replace(base, cdf=None, antiderivative=None,
+                               density=lambda x: calls.append(x) or w(x))
     rng = random.Random(3)
-    for _ in range(50):
-        H = random_interval_union(rng, ERR_WINDOWS.get(name, (0.1, 100.0)), 8)
+    unions = [random_interval_union(rng, ERR_WINDOWS.get(name, (0.1, 100.0)), 8)
+              for _ in range(50)]
+    for pairs in BISECTING.get(name, []):
+        H = normalize(pairs)
+        assert any(quad(w, lo, hi).evaluations > 15 for lo, hi in H), pairs
+        assert any(quad(lambda x: x * w(x), lo, hi).evaluations > 15
+                   for lo, hi in H), pairs
+        unions.append(H)
+    for H in unions:
         mass = mass_err = moment = moment_err = 0.0
         for lo, hi in H:
             r = quad(w, lo, hi)
@@ -218,11 +265,49 @@ def test_shared_panels_match_two_quad_passes(name):
             moment += m.value
             moment_err += (m.error_estimate
                            + measures._EPS * max(abs(lo), abs(hi)) * r.value)
-        value = moment / mass
-        err = ((moment_err + abs(value) * mass_err) / mass
-               + 4.0 * measures._EPS * abs(value))
         got = mean(spec, H)
-        assert (got.value, got.err) == (value, err), H
+        assert (got.value, got.err) == _value_and_err(
+            mass, mass_err, moment, moment_err), H
+
+        calls.clear()
+        mass_only = _two_quad_passes(spec.density, H, with_moment=False)[0]
+        mass_calls = calls[:]
+        calls.clear()
+        sums = _two_quad_passes(spec.density, H)
+        want_calls = calls[:]
+        value, err = _value_and_err(*sums)
+        mass, mass_err, moment, moment_err = sums
+        for c, s in ((1.0, spec), (3.0, spec.scaled(3.0))):
+            calls.clear()
+            assert tuple(mean(s, H)) == (value, c * mass, c * moment, err), (c, H)
+            assert calls == want_calls, (c, H)
+            calls.clear()
+            assert s.integrate(H) == (c * mass, c * mass_err,
+                                      c * moment, c * moment_err), (c, H)
+            assert calls == want_calls, (c, H)
+            calls.clear()
+            assert s.mu(H) == c * mass_only, (c, H)
+            assert calls == mass_calls, (c, H)
+
+
+def test_moment_missing_its_first_panel_goes_through_quad(monkeypatch):
+    # on [-15, -7] the first panel of e^x meets quad's default tolerance and
+    # that of x e^x misses it: the moment pass there is a quad call, and
+    # mean gives the bits of two quad passes over one table
+    calls = []
+    monkeypatch.setattr(measures, "quad",
+                        lambda fn, lo, hi: calls.append((lo, hi)) or quad(fn, lo, hi))
+    spec = dataclasses.replace(catalog("exponential"), cdf=None,
+                               antiderivative=None)
+    H = normalize([(-15.0, -7.0), (1.0, 2.0)])
+    table = PanelSums(spec.density)
+    assert quad(table.mass, -15.0, -7.0).evaluations == 15
+    assert quad(table.moment, -15.0, -7.0).evaluations > 0
+    sums = _two_quad_passes(spec.density, H)
+    value, err = _value_and_err(*sums)
+    assert tuple(mean(spec, H)) == (value, sums[0], sums[2], err)
+    # a mass pass per interval, and a moment pass where the first panel missed
+    assert calls == [(-15.0, -7.0), (-15.0, -7.0), (1.0, 2.0)]
 
 
 def test_mean_evaluates_the_density_once_per_node():

@@ -5,10 +5,12 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
-from meanmeasure import (InvalidInterval, QuadratureError, QuadratureResult,
-                         catalog, double_integral_mean, quad)
+from meanmeasure import (DomainError, InvalidInterval, QuadratureError,
+                         QuadratureResult, WidthOverflow, catalog,
+                         double_integral_mean, mean, normalize, quad)
 from meanmeasure import means
 from meanmeasure.quadrature import PanelSums
 
@@ -81,6 +83,8 @@ def test_default_budget_exhaustion_is_quick():
     ("0", "1", 1e-10, 1e-9),
     (0.0, 1.0, None, 1e-9),
     pytest.param(0.0, 10 ** 400, 1e-10, 1e-9, id="past-double-range"),
+    pytest.param(10 ** 400, 10 ** 400 + 1, 1e-10, 1e-9,
+                 id="narrow-past-double-range"),
 ])
 def test_invalid_input_rejected_before_evaluation(a, b, abs_tol, rel_tol):
     calls = []
@@ -95,6 +99,48 @@ def test_non_positive_panel_budget_rejected_before_evaluation(max_panels):
     with pytest.raises(InvalidInterval):
         quad(lambda x: calls.append(x) or 1.0, 0.0, 1.0, max_panels=max_panels)
     assert calls == []
+
+
+@pytest.mark.parametrize("max_panels", [math.inf, 1.5, math.nan, None])
+def test_panel_budget_that_is_not_an_integer_is_rejected_before_evaluation(
+        max_panels):
+    # a budget of inf once let this pass bisect until the integrand stopped it
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 300:
+            raise RuntimeError("quad went on bisecting")
+        return math.sin(1.0 / x)
+
+    with pytest.raises(InvalidInterval, match="integer panel budget"):
+        quad(f, 1e-6, 1.0, abs_tol=0, rel_tol=0, max_panels=max_panels)
+    assert calls == []
+
+
+def test_integer_like_panel_budget_is_taken_as_its_integer():
+    f = lambda x: math.sin(1.0 / x)
+    with pytest.raises(QuadratureError) as want:
+        quad(f, 1e-3, 1.0, max_panels=4)
+    with pytest.raises(QuadratureError, match="panel budget 4 exhausted") as got:
+        quad(f, 1e-3, 1.0, max_panels=np.int64(4))
+    assert got.value.result == want.value.result
+
+
+def test_width_past_double_range_is_named_before_evaluation():
+    calls = []
+    with pytest.raises(WidthOverflow, match="width b - a") as exc_info:
+        quad(lambda x: calls.append(x) or 1.0, -1e308, 1e308)
+    assert isinstance(exc_info.value, InvalidInterval) and calls == []
+    # a set mean or a double integral on such a window stays a DomainError
+    lebesgue = dataclasses.replace(catalog("lebesgue"), cdf=None,
+                                   antiderivative=None)
+    H = normalize([(-1e308, 1e308)])
+    for call in (lambda: mean(lebesgue, H), lambda: lebesgue.mu(H),
+                 lambda: lebesgue.integrate(H),
+                 lambda: double_integral_mean(lebesgue, -1e308, 1e308)):
+        with pytest.raises(DomainError, match="overflows"):
+            call()
 
 
 def test_converged_first_panel_runs_the_panel_once():
