@@ -15,7 +15,8 @@ import math
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DomainError, EmptySet, InvalidInterval, NotDisjoint, NotNested
+from .errors import (DomainError, EmptySet, InvalidInterval, NotDisjoint,
+                     NotNested, WidthOverflow)
 from .intervals import IntervalSet, normalize
 from .measures import (
     _EPS,
@@ -347,9 +348,11 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float) -> float:
     :class:`~meanmeasure.quadrature.PanelSums` table over ``[a, b]``: an
     inner panel at ``y`` is ``(K1 + y K0) / 2`` from the table's Kronrod sums
     of ``x w`` and ``w``, with the Gauss sums giving its error, and the outer
-    pass takes ``w(y)`` at its nodes from the table.  Each inner integral is
+    pass takes ``w(y)`` at its nodes from the table.  ``quad`` reads an inner
+    pass's panels from the table's rows in place.  Each inner integral is
     still refined on its own to its own tolerance; it is not replaced by the
-    single-integral mean.
+    single-integral mean.  A window whose width is past double range raises
+    DomainError naming the width, from the WidthOverflow.
     """
     [(a, b)] = spec.require_window((a, b))
     table = PanelSums(spec.density)
@@ -363,6 +366,9 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float) -> float:
         outer = quad(table.outer(inner), a, b, abs_tol=_DIM_TOL * 1e-2,
                      rel_tol=1e-9)
         return outer.value / (mass * mass)
+    except WidthOverflow as exc:
+        raise DomainError(f"double integral of {spec.name!r} on ({a!r}, {b!r}) "
+                          f"overflows double precision: {exc}") from exc
     except (OverflowError, ZeroDivisionError):
         # a density or a sum past double range, or a squared mass underflowed
         raise DomainError(f"double integral of {spec.name!r} on ({a!r}, {b!r}) "

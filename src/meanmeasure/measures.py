@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DomainError, InvalidInterval, UnknownMeasure
+from .errors import DomainError, InvalidInterval, UnknownMeasure, WidthOverflow
 from .intervals import IntervalSet, normalize
 from .quadrature import PanelSums, _meets, quad
 
@@ -148,6 +148,9 @@ class MeasureSpec:
                         moment += hi * fhi - lo * flo - (Fhi - Flo)
                         moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
                                               + abs(Fhi) + abs(Flo))
+        except WidthOverflow as exc:
+            raise DomainError(f"mass or first moment of {self.name!r} overflows "
+                              f"double precision on this set: {exc}") from exc
         except (OverflowError, ZeroDivisionError):
             # a primitive past double range: 1 / (x * x) divides by an
             # underflowed 0 where it would overflow

@@ -8,11 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from meanmeasure import (DomainError, InvalidInterval, QuadratureError,
-                         QuadratureResult, WidthOverflow, catalog,
-                         double_integral_mean, mean, normalize, quad)
+from meanmeasure import (CATALOG_NAMES, DomainError, InvalidInterval,
+                         QuadratureError, QuadratureResult, WidthOverflow,
+                         catalog, double_integral_mean, mean, normalize, quad)
 from meanmeasure import means
-from meanmeasure.quadrature import PanelSums
+from meanmeasure.quadrature import (_T, PanelSums, _moment_sums, _new_row,
+                                    _Pass)
 
 
 def test_constant_is_exact():
@@ -132,15 +133,18 @@ def test_width_past_double_range_is_named_before_evaluation():
     with pytest.raises(WidthOverflow, match="width b - a") as exc_info:
         quad(lambda x: calls.append(x) or 1.0, -1e308, 1e308)
     assert isinstance(exc_info.value, InvalidInterval) and calls == []
-    # a set mean or a double integral on such a window stays a DomainError
+    # a set mean or a double integral on such a window stays a DomainError,
+    # which names the width and chains the WidthOverflow
     lebesgue = dataclasses.replace(catalog("lebesgue"), cdf=None,
                                    antiderivative=None)
     H = normalize([(-1e308, 1e308)])
     for call in (lambda: mean(lebesgue, H), lambda: lebesgue.mu(H),
                  lambda: lebesgue.integrate(H),
                  lambda: double_integral_mean(lebesgue, -1e308, 1e308)):
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match=r"overflows.*width b - a in "
+                           r"double range, got inf") as exc_info:
             call()
+        assert isinstance(exc_info.value.__cause__, WidthOverflow)
 
 
 def test_converged_first_panel_runs_the_panel_once():
@@ -229,3 +233,69 @@ def test_panel_table_passes_share_density_evaluations(monkeypatch):
         y = rng.uniform(a, b)
         plain = quad(lambda x: 0.5 * (x + y) * w(x), a, b).value
         assert quad(table.inner(y), a, b).value == pytest.approx(plain, rel=1e-14)
+
+
+def _inner_through_a_call(table, y):
+    """The inner pass read through ``quad``'s generic loop, one call per
+    panel: the reference for ``quad``'s own loop over ``table.inner(y)``."""
+    rows, density = table._rows, table._density
+
+    def panel(lo, hi):
+        row = rows.get((lo, hi))
+        made = 0
+        if row is None:
+            row = rows[lo, hi] = _new_row(density, lo, hi)
+            made = 15
+        k0, d0 = row[3]
+        k1, d1 = row[4] or _moment_sums(row, lo, hi)
+        return 0.5 * (k1 + y * k0), 0.5 * abs(d1 + y * d0), made
+    return _Pass(panel)
+
+
+def _outcome(call):
+    """``repr`` of a result, or of an error and its partial result."""
+    try:
+        return repr(call())
+    except QuadratureError as exc:
+        return f"{exc!r} {exc.result!r}"
+
+
+# windows across 0 give negative ys, and a symmetric one y = 0.0 at its
+# centre node; a window two ulps wide has panels too narrow to bisect (its
+# start chosen so that some passes there miss the zero tolerance)
+_INNER_WINDOWS = {"lebesgue": [(-3.0, 5.0), (-3.0, 3.0)],
+                  "exponential": [(-3.0, 2.0), (-2.0, 2.0)]}
+_NARROW_AT = {"geometric": 2.3}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("fresh", [False, True])
+def test_inner_pass_read_in_place_matches_a_call_per_panel(name, fresh):
+    density = catalog(name).density
+    c = _NARROW_AT.get(name, 3.7)
+    windows = _INNER_WINDOWS.get(name, [(1.0, 4.0), (0.5, 50.0)])
+    tolerances = [{}, {"abs_tol": 1e-11, "rel_tol": 1e-10},
+                  {"abs_tol": 0.0, "rel_tol": 0.0, "max_panels": 7}]
+    rng = random.Random(5)
+    seen = ""
+    for a, b in windows + [(c, c + 2 * math.ulp(c))]:
+        # the outer pass's first nodes, and some more
+        center, half = 0.5 * (a + b), 0.5 * (b - a)
+        ys = [center + half * t for t in _T] + [rng.uniform(a, b) for _ in range(8)]
+        outcomes, calls = [], []
+        for inner in (PanelSums.inner, _inner_through_a_call):
+            out, evaluated = [], []
+            table = PanelSums(lambda x: evaluated.append(x) or density(x))
+            if not fresh:  # as in a double integral: rows without x w sums
+                quad(table.mass, a, b)
+            for kw in tolerances:
+                for y in ys:
+                    out.append(_outcome(lambda: quad(inner(table, y), a, b, **kw)))
+            outcomes.append(out)
+            calls.append(evaluated)
+        assert outcomes[0] == outcomes[1], (a, b)
+        assert calls[0] == calls[1] and calls[0], (a, b)
+        seen += "".join(outcomes[0])
+    assert "every panel left is too narrow to bisect" in seen
+    if name != "lebesgue":  # there (x + y) / 2 is exact on one panel
+        assert "panel budget 7 exhausted" in seen
