@@ -9,8 +9,10 @@ atomless).  Values are immutable, so all operations are pure.
 
 Difference scans both operands once, its cursor into the second moving only
 forward; intersection is the double difference ``A - (A - B)``, and the
-other operations are built on those two: all are O(n + m) but ``union``,
-which sorts.
+other operations are built on those two: all are O(n + m) but ``union``.
+``union`` concatenates the two tuples when one operand's hull ends strictly
+before the other's begins, or when one operand is empty; otherwise it sorts
+the pairs and merges them.  Disjointness is one difference: ``A - B == A``.
 """
 
 from __future__ import annotations
@@ -99,8 +101,18 @@ class IntervalSet:
         return self.intersect(IntervalSet(((_cut(y), math.inf),)))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        # both are canonical already: their pairs need sorting and merging only
-        return _merged(sorted(self.intervals + other.intervals))
+        a, b = self.intervals, other.intervals
+        # both are canonical already: hulls apart, or an empty operand, need
+        # no merging; a touching pair (-0.0 against 0.0 too) merges below
+        if not a or not b or a[-1][1] < b[0][0]:
+            pairs = a + b
+        elif b[-1][1] < a[0][0]:
+            pairs = b + a
+        else:
+            return _merged(sorted(a + b))
+        out = _new(IntervalSet)
+        _set_intervals(out, pairs)
+        return out
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return self.subtract(self.subtract(other))
@@ -122,7 +134,9 @@ class IntervalSet:
                 j += 1
             if lo < hi:
                 out.append((lo, hi))
-        return IntervalSet(tuple(out))
+        result = _new(IntervalSet)
+        _set_intervals(result, tuple(out))
+        return result
 
     def symdiff(self, other: "IntervalSet") -> "IntervalSet":
         return self.subtract(other).union(other.subtract(self))
@@ -131,10 +145,13 @@ class IntervalSet:
         return self.subtract(other).is_empty
 
     def is_disjoint_from(self, other: "IntervalSet") -> bool:
-        return self.intersect(other).is_empty
+        # one scan: a difference that cuts nothing keeps every pair as it was
+        return self.subtract(other).intervals == self.intervals
 
 
+# results are built without the Python-level __init__: a bare instance, then
 # the slot's own setter, which the read-only __setattr__ does not reach
+_new = object.__new__
 _set_intervals = IntervalSet.intervals.__set__
 
 
@@ -193,7 +210,9 @@ def _merged(pairs) -> IntervalSet:
         else:
             top = hi
             merged.append(pair)
-    return IntervalSet(tuple(merged))
+    out = _new(IntervalSet)
+    _set_intervals(out, tuple(merged))
+    return out
 
 
 EMPTY = IntervalSet()

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DomainError, EmptySet, InvalidInterval, NotDisjoint,
                      NotNested, WidthOverflow)
-from .intervals import IntervalSet, normalize
+from .intervals import IntervalSet, _merged, normalize
 from .measures import (
     _EPS,
     _SHAPES,
@@ -222,8 +222,10 @@ def random_interval_union(rng: random.Random, window: tuple[float, float],
     while True:
         k = rng.randint(min_intervals, max_intervals)
         pts = sorted(rng.uniform(lo, hi) for _ in range(2 * k))
-        H = normalize([(pts[2 * i], pts[2 * i + 1]) for i in range(k)])
-        if not H.is_empty:
+        # sorted finite pairs that at most touch: normalize's checks and sort
+        # would find nothing to do, so only zero-length pairs are dropped
+        H = _merged([p for p in zip(pts[::2], pts[1::2]) if p[0] < p[1]])
+        if H.intervals:
             return H
 
 

@@ -4,13 +4,14 @@ A :class:`MeasureSpec` bundles a strictly positive density ``w`` with an
 optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 ``f(b) - f(a)``) and an optional second primitive ``F`` with ``F' = f``.
 :meth:`MeasureSpec.integrate` takes a set's mass and first moment in one
-pass from the spec's own fields: from closed forms when both primitives are
-present, evaluating each once per endpoint, and otherwise from adaptive
-quadrature of ``w``, whose mass and moment passes share one evaluation of
-``w`` per node.  While a catalog entry's primitives are its own, its kernel
-sums the set in one call; while a built measure's primitives are its
-``construction``'s own, one evaluation per endpoint gives both.
-:meth:`MeasureSpec.mu` takes the same pass without the moment.
+pass, along a path each spec chooses once from its own fields when it is
+made: a catalog entry whose primitives are its own sums the set in one call
+of its kernel; without both primitives, adaptive quadrature of ``w`` takes
+both sums, its mass and moment passes sharing one evaluation of ``w`` per
+node; a built measure whose primitives are its ``construction``'s own takes
+``f`` and ``F`` from one pass per endpoint; any other spec calls each
+primitive once per endpoint.  :meth:`MeasureSpec.mu` takes the same pass
+without the moment.
 
 The catalog holds the measures generating the classical two-argument means
 (arithmetic, geometric, harmonic, logarithmic, and the ``x^2`` / ``e^x``
@@ -44,6 +45,10 @@ class MeasureSpec:
     ``construct.ConstructedMeasure`` a built measure came from: set integrals
     take its one pass per endpoint while ``cdf`` and ``antiderivative`` are
     its own, and call them for any other construction.
+
+    ``__post_init__`` chooses the set-sum path once from these fields; a
+    ``dataclasses.replace`` copy chooses its own.  A sum past double range
+    raises DomainError, the OverflowError or ZeroDivisionError its cause.
     """
 
     name: str
@@ -54,6 +59,19 @@ class MeasureSpec:
     density_shape: str = "none"
     construction: object = field(default=None, compare=False, repr=False)
     factor = 1.0  # multiplies set sums; a class constant, not a field
+
+    def __post_init__(self) -> None:
+        f, F = self.cdf, self.antiderivative
+        kernel = _KERNELS.get(id(f))
+        if kernel is not None and kernel[0] is f and kernel[1] is F:
+            sums = kernel[2]  # a catalog entry's own primitives
+        elif f is None or F is None:
+            sums = _quadrature_sums(self.density)
+        else:  # the construction's pass while the primitives are its own
+            cm = self.construction
+            own = f == getattr(cm, "f", None) and F == getattr(cm, "F", None)
+            sums = _closed_form_sums(f, F, cm if own else None)
+        object.__setattr__(self, "_sums", sums)
 
     # -- domain handling --------------------------------------------------
 
@@ -96,69 +114,22 @@ class MeasureSpec:
 
     def _integrate(self, H: IntervalSet,
                    with_moment: bool) -> tuple[float, float, float, float]:
-        # the moment and its error stay 0 unless asked for; the path is
-        # chosen once per set: a catalog kernel, quadrature, or closed forms
-        # that take each endpoint's f and F from a construction's one pass or
-        # the primitives
         pairs = H.intervals
         if pairs and not (pairs[0][0] > self.domain[0]
                           and pairs[-1][1] < self.domain[1]):
             self.require_domain(H)  # raises
-        mass = mass_err = moment = moment_err = 0.0
-        f, F = self.cdf, self.antiderivative
-        cm = self.construction
-        kernel = _KERNELS.get(id(f))
         try:
-            if kernel is not None and kernel[0] is f and kernel[1] is F:
-                # a catalog entry's own primitives: its kernel sums the set
-                mass, mass_err, moment, moment_err = kernel[2](pairs, with_moment)
-            elif f is None or F is None:
-                # one panel table for the set: the passes of an interval share it
-                table = PanelSums(self.density)
-                mass_pass, moment_pass = table.mass, table.moment
-                for lo, hi in pairs:
-                    value, err, _ = quad(mass_pass, lo, hi)
-                    mass += value
-                    # plus the rounding quad misses, as in the moment pass
-                    mass_err += err + _EPS * abs(value)
-                    if with_moment:
-                        # the mass pass built [lo, hi]'s row: a first panel of
-                        # x w that meets quad's default test is what quad
-                        # returns, with no evaluation
-                        m, m_err, _ = moment_pass.panel(lo, hi)
-                        if not _meets(m, m_err):
-                            m, m_err, _ = quad(moment_pass, lo, hi)
-                        moment += m
-                        # plus the rounding quad misses where x w(x) cancels
-                        moment_err += m_err + _EPS * max(abs(lo), abs(hi)) * value
-            else:
-                # one pass per endpoint gives a construction's own f and F
-                at = (cm._eval if f == getattr(cm, "f", None)
-                      and F == getattr(cm, "F", None) else None)
-                for lo, hi in pairs:
-                    if at is not None:
-                        (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
-                    else:
-                        flo, fhi = f(lo), f(hi)
-                    mass += fhi - flo
-                    mass_err += _EPS * (abs(fhi) + abs(flo))
-                    if with_moment:
-                        if at is None:
-                            Flo, Fhi = F(lo), F(hi)
-                        moment += hi * fhi - lo * flo - (Fhi - Flo)
-                        moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
-                                              + abs(Fhi) + abs(Flo))
+            sums = self._sums(pairs, with_moment)
         except WidthOverflow as exc:
             raise DomainError(f"mass or first moment of {self.name!r} overflows "
                               f"double precision on this set: {exc}") from exc
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError) as exc:
             # a primitive past double range: 1 / (x * x) divides by an
             # underflowed 0 where it would overflow
-            mass = math.inf
-        if not (math.isfinite(mass) and math.isfinite(moment)):
-            raise DomainError(f"mass or first moment of {self.name!r} "
-                              "overflows double precision on this set")
-        return mass, mass_err, moment, moment_err
+            raise _overflow(self.name) from exc
+        if not (math.isfinite(sums[0]) and math.isfinite(sums[2])):
+            raise _overflow(self.name)
+        return sums
 
     def _scaled(self, *sums: float) -> tuple[float, ...]:
         """Set sums times the factor, which is 1 here."""
@@ -213,9 +184,71 @@ class _ScaledMeasure(MeasureSpec):
     def _scaled(self, *sums: float) -> tuple[float, ...]:
         out = tuple(self.factor * v for v in sums)
         if not all(map(math.isfinite, out)):
-            raise DomainError(f"mass or first moment of {self.name!r} "
-                              "overflows double precision on this set")
+            raise _overflow(self.name)
         return out
+
+
+def _overflow(name: str) -> DomainError:
+    return DomainError(f"mass or first moment of {name!r} "
+                       "overflows double precision on this set")
+
+
+# -- set-sum paths -------------------------------------------------------------
+
+# A spec's ``_sums(pairs, with_moment) -> (mass, mass_err, moment,
+# moment_err)`` is one of these or a catalog kernel; the moment and its error
+# stay 0 unless asked for.
+
+
+def _quadrature_sums(density):
+    """Adaptive quadrature of ``density``, one ``quad`` call per interval."""
+    def sums(pairs, with_moment):
+        mass = mass_err = moment = moment_err = 0.0
+        # one panel table for the set: the passes of an interval share it
+        table = PanelSums(density)
+        mass_pass, moment_pass = table.mass, table.moment
+        for lo, hi in pairs:
+            value, err, _ = quad(mass_pass, lo, hi)
+            mass += value
+            # plus the rounding quad misses, as in the moment pass
+            mass_err += err + _EPS * abs(value)
+            if with_moment:
+                # the mass pass built [lo, hi]'s row: a first panel of x w
+                # that meets quad's default test is what quad returns, with
+                # no evaluation
+                m, m_err, _ = moment_pass.panel(lo, hi)
+                if not _meets(m, m_err):
+                    m, m_err, _ = quad(moment_pass, lo, hi)
+                moment += m
+                # plus the rounding quad misses where x w(x) cancels
+                moment_err += m_err + _EPS * max(abs(lo), abs(hi)) * value
+        return mass, mass_err, moment, moment_err
+    return sums
+
+
+def _closed_form_sums(f, F, cm):
+    """Closed forms from the primitives, each called once per endpoint, or,
+    while ``cm`` is the built measure they belong to, from its one pass per
+    endpoint, which gives both."""
+    def sums(pairs, with_moment):
+        mass = mass_err = moment = moment_err = 0.0
+        # read per set, so that a wrapper put on the instance later is seen
+        at = None if cm is None else cm._eval
+        for lo, hi in pairs:
+            if at is not None:
+                (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
+            else:
+                flo, fhi = f(lo), f(hi)
+            mass += fhi - flo
+            mass_err += _EPS * (abs(fhi) + abs(flo))
+            if with_moment:
+                if at is None:
+                    Flo, Fhi = F(lo), F(hi)
+                moment += hi * fhi - lo * flo - (Fhi - Flo)
+                moment_err += _EPS * (abs(hi * fhi) + abs(lo * flo)
+                                      + abs(Fhi) + abs(Flo))
+        return mass, mass_err, moment, moment_err
+    return sums
 
 
 def _check_count(value, name: str, least: int = 0) -> int:
@@ -389,8 +422,20 @@ def _exponential_sums(pairs, with_moment):
     return mass, mass_err, moment, moment_err
 
 
+# id(cdf) -> (cdf, antiderivative, kernel): a spec takes the kernel while its
+# cdf and antiderivative are both the entry's own objects
+_KERNELS: dict = {}
+
+
+def _entry(kernel, **fields) -> MeasureSpec:
+    """A catalog spec, its kernel registered first so that the spec takes it."""
+    _KERNELS[id(fields["cdf"])] = (fields["cdf"], fields["antiderivative"], kernel)
+    return MeasureSpec(**fields)
+
+
 _CATALOG = {spec.name: spec for spec in (
-    MeasureSpec(
+    _entry(
+        _lebesgue_sums,
         name="lebesgue",
         domain=(-math.inf, math.inf),
         density=lambda x: 1.0,
@@ -398,7 +443,8 @@ _CATALOG = {spec.name: spec for spec in (
         antiderivative=lambda x: 0.5 * x * x,
         density_shape="increasing",  # constant, weakly monotone
     ),
-    MeasureSpec(
+    _entry(
+        _geometric_sums,
         name="geometric",
         domain=(0.0, math.inf),
         density=lambda x: 1.0 / (2.0 * _E2 * x * math.sqrt(x)),
@@ -406,7 +452,8 @@ _CATALOG = {spec.name: spec for spec in (
         antiderivative=lambda x: (math.sqrt(x) - 1.0) ** 2 / _E2,
         density_shape="decreasing",
     ),
-    MeasureSpec(
+    _entry(
+        _harmonic_sums,
         name="harmonic",
         domain=(0.0, math.inf),
         density=lambda x: 2.0 / x ** 3,
@@ -414,7 +461,8 @@ _CATALOG = {spec.name: spec for spec in (
         antiderivative=lambda x: x - 2.0 + 1.0 / x,
         density_shape="decreasing",
     ),
-    MeasureSpec(
+    _entry(
+        _logarithmic_sums,
         name="logarithmic",
         domain=(0.0, math.inf),
         density=lambda x: 1.0 / x,
@@ -422,7 +470,8 @@ _CATALOG = {spec.name: spec for spec in (
         antiderivative=lambda x: x * math.log(x) - x + 1.0,
         density_shape="decreasing",
     ),
-    MeasureSpec(
+    _entry(
+        _square_sums,
         name="square",
         domain=(0.0, math.inf),
         density=lambda x: 2.0 * x,
@@ -430,7 +479,8 @@ _CATALOG = {spec.name: spec for spec in (
         antiderivative=lambda x: x ** 3 / 3.0,
         density_shape="increasing",
     ),
-    MeasureSpec(
+    _entry(
+        _exponential_sums,
         name="exponential",
         domain=(-math.inf, math.inf),
         density=math.exp,
@@ -441,17 +491,6 @@ _CATALOG = {spec.name: spec for spec in (
 )}
 
 CATALOG_NAMES = tuple(_CATALOG)
-
-# id(cdf) -> (cdf, antiderivative, kernel): ``_integrate`` takes the kernel
-# while a spec's cdf and antiderivative are both the entry's own objects
-_KERNELS = {id(s.cdf): (s.cdf, s.antiderivative, k) for s, k in (
-    (_CATALOG["lebesgue"], _lebesgue_sums),
-    (_CATALOG["geometric"], _geometric_sums),
-    (_CATALOG["harmonic"], _harmonic_sums),
-    (_CATALOG["logarithmic"], _logarithmic_sums),
-    (_CATALOG["square"], _square_sums),
-    (_CATALOG["exponential"], _exponential_sums),
-)}
 
 
 def catalog(name: str) -> MeasureSpec:

@@ -159,8 +159,9 @@ def _cantor(out: SuiteResult, rng) -> None:
         width = 0.2 * span
         bumps = [normalize([(c, c + width * 0.5 ** i)]) for i in range(15)]
         gaps = cantor_probe(spec, [base.union(J) for J in bumps] + [base])
-        scale = 1.0 + abs(mean(spec, base).value)
-        reach = (c + width - base.infimum()) / spec.mu(base)
+        report = mean(spec, base)  # its mass is mu(base), bit for bit
+        scale = 1.0 + abs(report.value)
+        reach = (c + width - base.infimum()) / report.mass
         ok = gaps[-1] == 0.0
         for i, J in enumerate(bumps):
             if gaps[i] > spec.mu(J) * reach * (1.0 + 1e-9) + 1e-12 * scale:

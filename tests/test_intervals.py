@@ -144,33 +144,67 @@ def _two_pointer_intersect(a, b):
     return tuple(out)
 
 
+def _sort_merge_union(a, b):
+    """Reference union: sort both sets' pairs, then merge overlapping or
+    touching ones."""
+    out = []
+    for lo, hi in sorted(a + b):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
 def test_set_operations_match_the_reference_scans_exactly():
     # few distinct endpoints, so ends are often shared or touching
     ends = [-0.0, 0.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
+    ordered = sorted(ends)  # -0.0 before 0.0, as listed
     rng = random.Random(31)
 
-    def draw():
+    def draw(pool=ends):
         r = rng.random()
         if r < 0.05:
             return EMPTY
-        H = normalize([sorted((rng.choice(ends), rng.choice(ends)))
+        H = normalize([sorted((rng.choice(pool), rng.choice(pool)))
                        for _ in range(rng.randint(1, 6))])
         if r < 0.15:
-            return H.union(IntervalSet(((rng.choice(ends), math.inf),)))
+            return H.union(IntervalSet(((rng.choice(pool), math.inf),)))
         if r < 0.25:  # the half-line slice_below intersects with
-            return IntervalSet(((-math.inf, rng.choice(ends)),)).union(H)
+            return IntervalSet(((-math.inf, rng.choice(pool)),)).union(H)
         return H
 
+    seen = {"empty": 0, "apart": 0, "touching": 0, "signed zeros": 0}
     for _ in range(5000):
-        A, B, y = draw(), draw(), rng.choice(ends)
+        if rng.random() < 0.4:
+            # hulls in order: the two pools share one end, so the hulls may
+            # touch there, -0.0 against 0.0 included
+            k = rng.randint(1, len(ordered) - 1)
+            A, B = draw(ordered[:k + 1]), draw(ordered[k:])
+            if rng.random() < 0.5:
+                A, B = B, A
+        else:
+            A, B = draw(), draw()
+        y = rng.choice(ends)
         a, b = A.intervals, B.intervals
+        if not (a and b):
+            seen["empty"] += 1
+        elif a[-1][1] < b[0][0] or b[-1][1] < a[0][0]:
+            seen["apart"] += 1
+        elif a[-1][1] == b[0][0] or b[-1][1] == a[0][0]:
+            seen["touching"] += 1
+            met = {repr(a[-1][1]), repr(b[0][0])} if a[-1][1] == b[0][0] \
+                else {repr(b[-1][1]), repr(a[0][0])}
+            seen["signed zeros"] += met == {"-0.0", "0.0"}
         diff = _nested_scan_subtract(a, b)
         inter = _two_pointer_intersect(a, b)
-        sym = IntervalSet(diff).union(IntervalSet(_nested_scan_subtract(b, a)))
         pairs = [
+            (A.union(B).intervals, _sort_merge_union(a, b)),
             (A.subtract(B).intervals, diff),
             (A.intersect(B).intervals, inter),
-            (A.symdiff(B).intervals, sym.intervals),
+            (A.symdiff(B).intervals,
+             _sort_merge_union(diff, _nested_scan_subtract(b, a))),
             (A.slice_below(y).intervals,
              _two_pointer_intersect(a, ((-math.inf, y),))),
             (A.slice_above(y).intervals,
@@ -181,6 +215,7 @@ def test_set_operations_match_the_reference_scans_exactly():
         for got, want in pairs:
             # repr also tells -0.0 from 0.0
             assert repr(got) == repr(want), (A, B, y)
+    assert min(seen.values()) >= 50, seen
 
 
 def _smith_volterra_cantor(level):

@@ -9,6 +9,7 @@ import pytest
 
 from meanmeasure import (
     CATALOG_NAMES,
+    EMPTY,
     DomainError,
     InvalidInterval,
     MeasureSpec,
@@ -26,8 +27,9 @@ from meanmeasure import (
     random_interval_union,
 )
 from meanmeasure import measures
-from meanmeasure.quadrature import PanelSums
-from meanmeasure.construct import ordinary_mean
+from meanmeasure.errors import WidthOverflow
+from meanmeasure.quadrature import PanelSums, _meets
+from meanmeasure.construct import build, ordinary_mean
 from meanmeasure.verify import _WINDOWS as VERIFY_WINDOWS
 from meanmeasure.verify import run_suites
 
@@ -423,6 +425,19 @@ def test_primitive_dividing_by_an_underflow_is_reported():
         harmonic.integrate(H)
 
 
+@pytest.mark.parametrize("name, pairs, cause", [
+    ("exponential", [(1000.0, 1001.0)], OverflowError),  # e^1000
+    ("harmonic", [(1e-200, 2e-200)], ZeroDivisionError),  # 1 / (x * x)
+    ("square", [(1e103, 2e103)], OverflowError),  # x ** 3
+])
+def test_overflow_names_its_cause(name, pairs, cause):
+    with pytest.raises(DomainError) as info:
+        mean(catalog(name), normalize(pairs))
+    assert str(info.value) == (f"mass or first moment of {name!r} overflows "
+                               "double precision on this set")
+    assert type(info.value.__cause__) is cause
+
+
 # each window below once raised a bare ValueError, ZeroDivisionError or
 # OverflowError from a density or a primitive
 
@@ -610,6 +625,91 @@ def test_catalog_kernel_matches_its_primitives_bit_for_bit(name):
             assert got == want, (H, got, want)
             errors += isinstance(got, tuple)
     assert errors > 0  # the error cases were reached
+
+
+def _per_call_integrate(self, H, with_moment):
+    """``MeasureSpec._integrate`` choosing its path on every call, as it did
+    before each spec chose one when made: the reference for that choice."""
+    pairs = H.intervals
+    if pairs and not (pairs[0][0] > self.domain[0]
+                      and pairs[-1][1] < self.domain[1]):
+        self.require_domain(H)  # raises
+    eps = measures._EPS
+    mass = mass_err = moment = moment_err = 0.0
+    f, F = self.cdf, self.antiderivative
+    cm = self.construction
+    kernel = measures._KERNELS.get(id(f))
+    try:
+        if kernel is not None and kernel[0] is f and kernel[1] is F:
+            mass, mass_err, moment, moment_err = kernel[2](pairs, with_moment)
+        elif f is None or F is None:
+            table = PanelSums(self.density)
+            mass_pass, moment_pass = table.mass, table.moment
+            for lo, hi in pairs:
+                value, err, _ = quad(mass_pass, lo, hi)
+                mass += value
+                mass_err += err + eps * abs(value)
+                if with_moment:
+                    m, m_err, _ = moment_pass.panel(lo, hi)
+                    if not _meets(m, m_err):
+                        m, m_err, _ = quad(moment_pass, lo, hi)
+                    moment += m
+                    moment_err += m_err + eps * max(abs(lo), abs(hi)) * value
+        else:
+            at = (cm._eval if f == getattr(cm, "f", None)
+                  and F == getattr(cm, "F", None) else None)
+            for lo, hi in pairs:
+                if at is not None:
+                    (flo, Flo, _, _), (fhi, Fhi, _, _) = at(lo), at(hi)
+                else:
+                    flo, fhi = f(lo), f(hi)
+                mass += fhi - flo
+                mass_err += eps * (abs(fhi) + abs(flo))
+                if with_moment:
+                    if at is None:
+                        Flo, Fhi = F(lo), F(hi)
+                    moment += hi * fhi - lo * flo - (Fhi - Flo)
+                    moment_err += eps * (abs(hi * fhi) + abs(lo * flo)
+                                         + abs(Fhi) + abs(Flo))
+    except WidthOverflow as exc:
+        raise DomainError(f"mass or first moment of {self.name!r} overflows "
+                          f"double precision on this set: {exc}") from exc
+    except (OverflowError, ZeroDivisionError):
+        mass = math.inf
+    if not (math.isfinite(mass) and math.isfinite(moment)):
+        raise DomainError(f"mass or first moment of {self.name!r} "
+                          "overflows double precision on this set")
+    return mass, mass_err, moment, moment_err
+
+
+def test_path_chosen_at_construction_matches_the_per_call_choice(monkeypatch):
+    cases = []
+    for name in CATALOG_NAMES:
+        spec = catalog(name)
+        sets = _kernel_sets(name, 40 + CATALOG_NAMES.index(name), 6) + [EMPTY]
+        wrapped = dataclasses.replace(spec, cdf=lambda x, f=spec.cdf: f(x))
+        cases += [(s, sets) for s in (spec, wrapped, spec.scaled(3.0))]
+        # quadrature spends its panel budget (0.2 s) on sets at 1e160 and past
+        near = [H for H in sets if H.is_empty or H.supremum() < 1e150]
+        cases.append((dataclasses.replace(spec, cdf=None, antiderivative=None), near))
+    geometric, harmonic = (build(ordinary_mean(m), (0.25, 64.0))
+                           for m in ("geometric", "harmonic"))
+    rng = random.Random(5)
+    sets = [random_interval_union(rng, (0.3, 60.0), 6) for _ in range(20)]
+    sets += [normalize([(0.7, 0.8), (1.0, 1.2)]), normalize([(0.1, 2.0)]), EMPTY]
+    cases += [(s, sets) for s in (
+        geometric, dataclasses.replace(geometric, construction=harmonic.construction))]
+    calls = (mean, lambda s, H: s.mu(H), lambda s, H: s.integrate(H))
+
+    def outcomes():
+        return [_outcome(call, s, H) for s, sets in cases for H in sets
+                for call in calls]
+
+    got = outcomes()
+    monkeypatch.setattr(MeasureSpec, "_integrate", _per_call_integrate)
+    want = outcomes()
+    assert got == want
+    assert sum(isinstance(o, tuple) for o in got) > 50  # the error cases were reached
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
