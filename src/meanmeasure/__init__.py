@@ -29,6 +29,7 @@ from .errors import (
     NotSymmetric,
     ParseError,
     QuadratureError,
+    SumOverflow,
     UnknownMeasure,
     WidthOverflow,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "RatioCertificate",
+    "SumOverflow",
     "SweepRow",
     "UniquenessResult",
     "UnknownMeasure",

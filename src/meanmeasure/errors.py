@@ -61,3 +61,9 @@ class QuadratureError(MeanMeasureError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+class SumOverflow(QuadratureError, OverflowError):
+    """A panel's quadrature sums overflow double precision though the
+    integrand is finite at every node.  It is also an OverflowError, so code
+    that turns an overflow into a DomainError turns this one too."""

@@ -22,19 +22,34 @@ import math
 from .errors import EmptySet, InvalidInterval
 
 Pair = tuple[float, float]
+_REAL = (int, float)  # the end types the raw constructor takes
 
 
 class IntervalSet:
     """Finite union of disjoint closed intervals, in canonical form.
 
-    Build instances through :func:`normalize`; the raw constructor does not
-    re-canonicalize.  Instances are read-only: assigning to ``intervals``
-    raises AttributeError.
+    Build instances through :func:`normalize`.  The raw constructor does not
+    re-canonicalize: it raises InvalidInterval naming the first pair that is
+    not a tuple ``(lo, hi)`` of ints or floats with ``lo < hi``, starting
+    strictly after the one before ends.  Infinite ends are allowed, for the
+    half-lines.  Instances are read-only: assigning to ``intervals`` raises
+    AttributeError.
     """
 
     __slots__ = ("intervals",)
 
     def __init__(self, intervals: tuple[Pair, ...] = ()):
+        if intervals.__class__ is not tuple:
+            raise InvalidInterval(f"IntervalSet needs a tuple of pairs, got {intervals!r}")
+        top = None  # the upper end of the pair before
+        for pair in intervals:
+            if not (pair.__class__ is tuple and len(pair) == 2
+                    and isinstance(pair[0], _REAL) and isinstance(pair[1], _REAL)
+                    and pair[0] < pair[1] and (top is None or top < pair[0])):
+                raise InvalidInterval(
+                    "IntervalSet needs pairs (lo, hi) of real numbers, lo < hi, each "
+                    f"after the one before, got {pair!r} (normalize takes any pairs)")
+            top = pair[1]
         _set_intervals(self, intervals)
 
     def __setattr__(self, name, value):

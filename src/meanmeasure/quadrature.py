@@ -20,11 +20,11 @@ of an integrand and reads each panel from the table.  Every pass still keeps
 its own partition, error estimate, stopping rule and panel budget: only the
 density evaluations behind the panels are shared.
 
-A double integral runs an inner pass per outer node, each over the same few
-rows, so ``quad`` runs an inner pass through a loop of its own that reads
-each panel from the table's rows in place, as ``(K1 + y K0) / 2`` from the
-sums of ``x w`` and ``w``, with no call per panel.  Each inner integral is
-still refined on its own to its own tolerance.
+``quad`` has one bisection loop for every pass.  A double integral runs an
+inner pass per outer node, each over the same few rows, so the loop reads an
+inner pass's panels from the rows in place, as ``(K1 + y K0) / 2`` from the
+sums of ``x w`` and ``w``; every other pass, and a plain callable, takes one
+call per panel.  Each inner integral is still refined to its own tolerance.
 
 A set mean's moment pass over an interval reads its first panel from the
 row that the mass pass built there, and calls ``quad`` only when that panel
@@ -41,7 +41,7 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .errors import InvalidInterval, QuadratureError, WidthOverflow
+from .errors import InvalidInterval, QuadratureError, SumOverflow, WidthOverflow
 
 # 15-point Kronrod abscissae on [-1, 1] (non-negative half) and weights,
 # with the embedded 7-point Gauss weights on the odd-indexed abscissae.
@@ -93,8 +93,9 @@ _T = (0.0,) + tuple(t for x in _XGK[:7] for t in (-x, x))
 def _sums(f, half, a, b):
     """Kronrod sum, and Kronrod minus Gauss, of node values in ``_T`` order.
 
-    The sums run in the order of QUADPACK's QK15.  Every Kronrod weight is
-    positive, so the Kronrod sum is finite only when every value is.
+    The sums run in the order of QUADPACK's QK15.  A value that is not
+    finite raises QuadratureError, and scaled sums past double range raise
+    SumOverflow.
     """
     fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = f
     s1 = a1 + b1
@@ -103,15 +104,17 @@ def _sums(f, half, a, b):
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
     kron = (k7 * fc + k0 * (a0 + b0) + k1 * s1 + k2 * (a2 + b2) + k3 * s3
             + k4 * (a4 + b4) + k5 * s5 + k6 * (a6 + b6))
-    if not math.isfinite(kron):
+    g0, g1, g2, g3 = _WG
+    gauss = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    kron *= half
+    diff = kron - gauss * half
+    if not math.isfinite(diff):  # finite only when both scaled sums are
         if not math.isfinite(fc):
             raise QuadratureError(f"integrand not finite at {0.5 * (a + b)!r}")
         if not all(map(math.isfinite, f)):
             raise QuadratureError(f"integrand not finite inside ({a!r}, {b!r})")
-    g0, g1, g2, g3 = _WG
-    gauss = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
-    kron *= half
-    return kron, kron - gauss * half
+        raise SumOverflow(f"panel sums past double range on ({a!r}, {b!r})")
+    return kron, diff
 
 
 def _panel(fn, a, b):
@@ -131,7 +134,7 @@ class _Pass:
 
 class _Inner:
     """An inner pass of a double integral, ``(x + y) w(x) / 2`` over a
-    :class:`PanelSums` table: ``quad`` reads its panels from the rows."""
+    :class:`PanelSums` table: ``quad`` reads its panels from the rows in place."""
 
     __slots__ = ("rows", "density", "y")
 
@@ -279,7 +282,8 @@ def quad(fn, a, b, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL,
     non-negative and ``max_panels`` is an integer of at least 1.  Raises
     :class:`QuadratureError` carrying the best partial result when the panel
     budget is exhausted first, or when every panel left is too narrow to
-    bisect.
+    bisect; at once when the integrand is not finite at a node, as
+    :class:`SumOverflow` when a panel's sums leave double range.
     """
     try:
         # valid arguments pass this one test; anything else, a string or
@@ -292,11 +296,25 @@ def quad(fn, a, b, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL,
     if not valid:
         max_panels = _checked_budget(a, b, abs_tol, rel_tol, max_panels)
     if type(fn) is _Inner:
-        return _quad_inner(fn, a, b, abs_tol, rel_tol, max_panels)
-    panel = fn.panel if isinstance(fn, _Pass) else functools.partial(_panel, fn)
-    value, err, evals = panel(a, b)
+        # read in place, a row built only where the table lacks one: a call
+        # per panel made double integrals 12% slower (Python 3.11, 2-core VM)
+        panel = None
+        rows, density, y = fn.rows, fn.density, fn.y
+        get = rows.get
+        row = get((a, b))
+        evals = 0
+        if row is None:
+            row = rows[a, b] = _new_row(density, a, b)
+            evals = 15
+        k0, d0 = row[3]
+        k1, d1 = row[4] or _moment_sums(row, a, b)
+        value = 0.5 * (k1 + y * k0)
+        err = 0.5 * abs(d1 + y * d0)
+    else:
+        panel = fn.panel if isinstance(fn, _Pass) else functools.partial(_panel, fn)
+        value, err, evals = panel(a, b)
     # one panel's totals are exact: most passes stop here
-    if _meets(value, err, abs_tol, rel_tol):
+    if err <= abs_tol or err <= rel_tol * abs(value):
         # tuple.__new__ skips the named tuple's Python-level __new__
         return tuple.__new__(QuadratureResult, (value, err, evals))
     pushes = 0  # breaks ties between equal errors in push order
@@ -333,80 +351,27 @@ def quad(fn, a, b, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL,
         if mid <= lo or mid >= hi:
             done.append(heapq.heappop(heap))
             continue
-        v1, e1, n1 = panel(lo, mid)
-        v2, e2, n2 = panel(mid, hi)
-        evals += n1 + n2
-        count += 1
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heapreplace(heap, (-e1, pushes + 1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, pushes + 2, mid, hi, v2, e2))
-        pushes += 2
-
-
-def _quad_inner(inner, a, b, abs_tol, rel_tol, max_panels) -> QuadratureResult:
-    """``quad``'s loop for an inner pass: the same steps, values, counts,
-    errors and density calls, with each panel read from its row in place and
-    a row built (15 evaluations) only for a panel the table lacks.  A call
-    per panel read made the bench's double integrals 12% slower (Python
-    3.11, 2-core VM)."""
-    rows, density, y = inner.rows, inner.density, inner.y
-    get = rows.get
-    row = get((a, b))
-    evals = 0
-    if row is None:
-        row = rows[a, b] = _new_row(density, a, b)
-        evals = 15
-    k0, d0 = row[3]
-    k1, d1 = row[4] or _moment_sums(row, a, b)
-    value = 0.5 * (k1 + y * k0)
-    err = 0.5 * abs(d1 + y * d0)
-    if err <= abs_tol or err <= rel_tol * abs(value):
-        return tuple.__new__(QuadratureResult, (value, err, evals))
-    pushes = 0
-    heap = [(-err, pushes, a, b, value, err)]
-    done = []
-    count = 1
-    total_val, total_err = value, err
-    while True:
-        spent = count >= max_panels or not heap
-        if (spent or total_err <= abs_tol
-                or total_err <= rel_tol * abs(total_val)):
-            kept = heap + done
-            if count > 1:
-                total_val = math.fsum([p[4] for p in kept])
-                total_err = math.fsum([p[5] for p in kept])
-            if total_err <= abs_tol or total_err <= rel_tol * abs(total_val):
-                return tuple.__new__(QuadratureResult, (total_val, total_err, evals))
-            if spent:
-                cause = (f"panel budget {max_panels} exhausted"
-                         if count >= max_panels
-                         else "every panel left is too narrow to bisect")
-                raise QuadratureError(
-                    f"{cause} (err={total_err:.3e})",
-                    result=QuadratureResult(total_val, total_err, evals),
-                )
-        _, _, lo, hi, v, e = heap[0]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            done.append(heapq.heappop(heap))
-            continue
-        row = get((lo, mid))
-        if row is None:
-            row = rows[lo, mid] = _new_row(density, lo, mid)
-            evals += 15
-        k0, d0 = row[3]
-        k1, d1 = row[4] or _moment_sums(row, lo, mid)
-        v1 = 0.5 * (k1 + y * k0)
-        e1 = 0.5 * abs(d1 + y * d0)
-        row = get((mid, hi))
-        if row is None:
-            row = rows[mid, hi] = _new_row(density, mid, hi)
-            evals += 15
-        k0, d0 = row[3]
-        k1, d1 = row[4] or _moment_sums(row, mid, hi)
-        v2 = 0.5 * (k1 + y * k0)
-        e2 = 0.5 * abs(d1 + y * d0)
+        if panel is None:
+            row = get((lo, mid))
+            if row is None:
+                row = rows[lo, mid] = _new_row(density, lo, mid)
+                evals += 15
+            k0, d0 = row[3]
+            k1, d1 = row[4] or _moment_sums(row, lo, mid)
+            v1 = 0.5 * (k1 + y * k0)
+            e1 = 0.5 * abs(d1 + y * d0)
+            row = get((mid, hi))
+            if row is None:
+                row = rows[mid, hi] = _new_row(density, mid, hi)
+                evals += 15
+            k0, d0 = row[3]
+            k1, d1 = row[4] or _moment_sums(row, mid, hi)
+            v2 = 0.5 * (k1 + y * k0)
+            e2 = 0.5 * abs(d1 + y * d0)
+        else:
+            v1, e1, n1 = panel(lo, mid)
+            v2, e2, n2 = panel(mid, hi)
+            evals += n1 + n2
         count += 1
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e

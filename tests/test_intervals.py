@@ -112,6 +112,26 @@ def test_union_keeps_a_lone_infinite_end():
     assert half_line.union(EMPTY) == half_line
 
 
+@pytest.mark.parametrize("pairs, bad", [
+    (((0.0, 2.0), (1.0, 3.0)), (1.0, 3.0)),
+    (((0.0, 1.0), (1.0, 2.0)), (1.0, 2.0)),
+    (((2.0, 3.0), (0.0, 1.0)), (0.0, 1.0)),
+    ((("a", "b"),), ("a", "b")),
+    (((math.nan, 1.0),), (math.nan, 1.0)),
+    (((1.0, 1.0),), (1.0, 1.0)),
+    (((2.0, 1.0),), (2.0, 1.0)),
+    (((0.0, 1.0, 2.0),), (0.0, 1.0, 2.0)),
+    (([0.0, 1.0],), [0.0, 1.0]),
+    (((-math.inf, 1.0), (-math.inf, 2.0)), (-math.inf, 2.0)),
+], ids=["overlapping", "touching", "unsorted", "strings", "nan", "empty-pair",
+        "reversed", "triple", "list-pair", "two-half-lines"])
+def test_raw_constructor_rejects_a_pair_out_of_canonical_form(pairs, bad):
+    with pytest.raises(InvalidInterval, match=re.escape(repr(bad))):
+        IntervalSet(pairs)
+    with pytest.raises(InvalidInterval):
+        IntervalSet(list(pairs))
+
+
 def _nested_scan_subtract(a, b):
     """Reference difference: rescans ``b`` from its start for each interval."""
     out = []

@@ -688,10 +688,9 @@ def test_path_chosen_at_construction_matches_the_per_call_choice(monkeypatch):
         spec = catalog(name)
         sets = _kernel_sets(name, 40 + CATALOG_NAMES.index(name), 6) + [EMPTY]
         wrapped = dataclasses.replace(spec, cdf=lambda x, f=spec.cdf: f(x))
-        cases += [(s, sets) for s in (spec, wrapped, spec.scaled(3.0))]
-        # quadrature spends its panel budget (0.2 s) on sets at 1e160 and past
-        near = [H for H in sets if H.is_empty or H.supremum() < 1e150]
-        cases.append((dataclasses.replace(spec, cdf=None, antiderivative=None), near))
+        cases += [(s, sets) for s in (spec, wrapped, spec.scaled(3.0),
+                                      dataclasses.replace(spec, cdf=None,
+                                                          antiderivative=None))]
     geometric, harmonic = (build(ordinary_mean(m), (0.25, 64.0))
                            for m in ("geometric", "harmonic"))
     rng = random.Random(5)

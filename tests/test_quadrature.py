@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from meanmeasure import (CATALOG_NAMES, DomainError, InvalidInterval,
-                         QuadratureError, QuadratureResult, WidthOverflow,
-                         catalog, double_integral_mean, mean, normalize, quad)
+                         QuadratureError, QuadratureResult, SumOverflow,
+                         WidthOverflow, catalog, double_integral_mean, mean,
+                         normalize, quad)
 from meanmeasure import means
 from meanmeasure.quadrature import (_T, PanelSums, _moment_sums, _new_row,
                                     _Pass)
@@ -56,6 +57,21 @@ def test_budget_exhaustion_carries_partial_result():
     assert partial is not None
     assert partial.error_estimate > 0.0
     assert partial.evaluations >= 15
+    _table_passes_end_as_plain_ones(f, 0.0, 1.0, "panel budget 4 exhausted",
+                                    abs_tol=1e-15, rel_tol=1e-15, max_panels=4)
+
+
+def _table_passes_end_as_plain_ones(w, a, b, message, **kw):
+    """``table.mass``, ``table.moment`` and ``table.outer(g)`` end through
+    ``quad``'s shared exits as the plain passes of ``w``, ``x w(x)`` and
+    ``g(y) w(y)`` do, to the bit: message, partial result and evaluations."""
+    g = lambda y: math.sin(y) + 2.0
+    for table_pass, plain in ((lambda t: t.mass, w),
+                              (lambda t: t.moment, lambda x: x * w(x)),
+                              (lambda t: t.outer(g), lambda y: g(y) * w(y))):
+        got = _outcome(lambda: quad(table_pass(PanelSums(w)), a, b, **kw))
+        assert got == _outcome(lambda: quad(plain, a, b, **kw))
+        assert message in got
 
 
 def test_tolerance_honored_on_smooth_integrand():
@@ -179,10 +195,50 @@ def test_panels_too_narrow_to_bisect_end_the_pass():
              math.nextafter(0.5, 1.0), abs_tol=0, rel_tol=0)
     partial = exc_info.value.result
     assert partial.evaluations == 45 and partial.error_estimate > 0.0
+    jump = lambda x: math.copysign(1.0, x - 0.5)
+    _table_passes_end_as_plain_ones(
+        jump, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+        "every panel left is too narrow to bisect", abs_tol=0, rel_tol=0)
     # a jump on a panel that bisects exactly at it: both halves are exact
     r = quad(lambda x: math.copysign(1.0, x - 0.5), 0.5 - 2 ** -40,
              0.5 + 2 ** -40, abs_tol=0, rel_tol=0)
     assert (r.value, r.error_estimate, r.evaluations) == (0.0, 0.0, 45)
+    _table_passes_end_as_plain_ones(jump, 0.5 - 2 ** -40, 0.5 + 2 ** -40,
+                                    "QuadratureResult", abs_tol=0, rel_tol=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quad(lambda x: x, 1e200, 2e200),
+    lambda: quad(lambda x: 1e300, 0.0, 1e10),
+    lambda: quad(PanelSums(lambda x: 1.0).moment, 1e200, 2e200),
+], ids=["x", "constant", "moment-pass"])
+def test_panel_sums_past_double_range_end_the_pass_at_once(call):
+    # finite at every node, but a sum times the half width overflows: a NaN
+    # error estimate would bisect to the end of the panel budget
+    start = time.perf_counter()
+    with pytest.raises(SumOverflow, match="panel sums past double range") as exc_info:
+        call()
+    assert time.perf_counter() - start < 0.05
+    assert isinstance(exc_info.value, QuadratureError)
+    assert isinstance(exc_info.value, OverflowError)
+
+
+def test_a_set_sum_past_double_range_is_the_closed_form_domain_error():
+    lebesgue = catalog("lebesgue")
+    density_only = dataclasses.replace(lebesgue, cdf=None, antiderivative=None)
+    H = normalize([(1e200, 2e200)])
+    with pytest.raises(DomainError) as want:
+        mean(lebesgue, H)
+    for call in (lambda: mean(density_only, H), lambda: density_only.integrate(H),
+                 lambda: density_only.scaled(3.0).integrate(H)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as exc_info:
+            call()
+        assert time.perf_counter() - start < 0.05
+        assert str(exc_info.value) == str(want.value)
+        assert isinstance(exc_info.value.__cause__, SumOverflow)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        double_integral_mean(density_only, 1e200, 2e200)
 
 
 def test_result_is_an_immutable_record():
