@@ -21,6 +21,7 @@ from .intervals import IntervalSet, _merged, normalize
 from .measures import (
     _EPS,
     _SHAPES,
+    _TINY,
     MeasureSpec,
     RatioCertificate,
     _check_count,
@@ -72,7 +73,9 @@ def mean(spec: MeasureSpec, H: IntervalSet) -> MeanReport:
     if not (mass > 0.0):
         raise DomainError(f"measure {spec.name!r} gave non-positive mass {mass!r}")
     value = moment / mass
-    err = (moment_err + abs(value) * mass_err) / mass + 4.0 * _EPS * abs(value)
+    # a subnormal value is rounded to ulp(0.0), which 4 _EPS |value| misses
+    err = ((moment_err + abs(value) * mass_err) / mass + 4.0 * _EPS * abs(value)
+           + _TINY)
     # tuple.__new__ skips the named tuple's Python-level __new__, which costs
     # as much again as the tuple: a twentieth of a catalog set mean
     return tuple.__new__(MeanReport, (value, *spec._scaled(mass, moment), err))
@@ -371,7 +374,7 @@ def double_integral_mean(spec: MeasureSpec, a: float, b: float) -> float:
     except WidthOverflow as exc:
         raise DomainError(f"double integral of {spec.name!r} on ({a!r}, {b!r}) "
                           f"overflows double precision: {exc}") from exc
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError) as exc:
         # a density or a sum past double range, or a squared mass underflowed
         raise DomainError(f"double integral of {spec.name!r} on ({a!r}, {b!r}) "
-                          "overflows double precision") from None
+                          "overflows double precision") from exc

@@ -5,17 +5,17 @@ optional increasing primitive ``f`` (so that the measure of ``[a, b]`` is
 ``f(b) - f(a)``) and an optional second primitive ``F`` with ``F' = f``.
 :meth:`MeasureSpec.integrate` takes a set's mass and first moment in one
 pass, along a path each spec chooses once from its own fields when it is
-made: a catalog entry whose primitives are its own sums the set in one call
-of its kernel; without both primitives, adaptive quadrature of ``w`` takes
-both sums, its mass and moment passes sharing one evaluation of ``w`` per
-node; a built measure whose primitives are its ``construction``'s own takes
-``f`` and ``F`` from one pass per endpoint; any other spec calls each
+made: a catalog entry whose primitives are its own sums the set in its
+family's kernel, which differences no primitive; without both primitives,
+adaptive quadrature of ``w`` takes both sums, sharing one evaluation of ``w``
+per node; a built measure whose primitives are its ``construction``'s own
+takes ``f`` and ``F`` from one pass per endpoint; any other spec calls each
 primitive once per endpoint.  :meth:`MeasureSpec.mu` takes the same pass
 without the moment.
 
 The catalog holds the measures generating the classical two-argument means
 (arithmetic, geometric, harmonic, logarithmic, and the ``x^2`` / ``e^x``
-examples).
+examples): five are ``k x^p`` and one is ``e^x``.
 """
 
 from __future__ import annotations
@@ -138,12 +138,13 @@ class MeasureSpec:
     def scaled(self, c: float) -> "MeasureSpec":
         """The same measure multiplied by a positive constant.
 
-        The factor multiplies set masses and moments after the primitive
-        differences are taken, by ``mu``, ``integrate`` and ``means.mean``
-        alone, so a mean's value and error bound are the base measure's; a
-        scaled sum past double range raises DomainError.  The name, domain, density shape, density and primitives derive from the
-        base and the factor and cannot be replaced; to drop the primitives,
-        replace them on the base, then scale.
+        The factor multiplies set masses and moments after they are summed,
+        by ``mu``, ``integrate`` and ``means.mean`` alone, so a mean's value
+        and error bound are the base measure's; a scaled sum past double
+        range raises DomainError.  The name, domain, density shape, density
+        and primitives derive from the base and the factor and cannot be
+        replaced; to drop the primitives, replace them on the base, then
+        scale.
         """
         if not (hasattr(c, "__float__") and c > 0.0 and math.isfinite(c)):
             raise DomainError(f"scale must be a positive finite number, got {c!r}")
@@ -323,103 +324,80 @@ def density_ratio_increasing(numer: MeasureSpec, denom: MeasureSpec,
 # -- catalog -----------------------------------------------------------------
 
 # Set kernels: ``(pairs, with_moment) -> (mass, mass_err, moment, moment_err)``
-# of one catalog entry, in one call per set.  Each repeats its entry's
-# primitives and ``_integrate``'s sums operation for operation, in the same
-# order, so its results and exceptions are the primitives' bit for bit.  It
-# takes a shared value once (an endpoint's sqrt, log or exp, and x f(x)), and
-# leaves ``abs`` off squares and exponentials, which are +0.0 or more.
+# of one catalog entry in one call per set, made by one of two family
+# factories, for ``k x^p`` and ``e^(lam x)``.  No kernel calls a primitive:
+# each interval's sums come from a form that does not cancel, so every term is
+# good to 4 ``_EPS`` of its size and each addition costs one ``_EPS`` more;
+# ``_TINY`` per interval covers underflow.
+
+_TINY = 8.0 * math.ulp(0.0)
 
 
-def _lebesgue_sums(pairs, with_moment):
-    mass = mass_err = moment = moment_err = 0.0
-    for lo, hi in pairs:
-        mass += hi - lo
-        mass_err += _EPS * (abs(hi) + abs(lo))
-        if with_moment:
-            xlo, xhi = lo * lo, hi * hi
-            Flo, Fhi = 0.5 * lo * lo, 0.5 * hi * hi
-            moment += xhi - xlo - (Fhi - Flo)
-            moment_err += _EPS * (xhi + xlo + Fhi + Flo)
-    return mass, mass_err, moment, moment_err
+def _power(k, p):
+    """The kernel of the density ``k x^p``, p != -2, on x > 0 (p = 0: on the
+    whole line): an interval's mass is ``k D(a, b, p + 1)`` and its moment
+    ``k D(a, b, p + 2)``, where ``D(a, b, q)`` integrates ``x^(q - 1)``."""
+    q, r = p + 1.0, p + 2.0
+    log1p, expm1 = math.log1p, math.expm1
+
+    def lebesgue(pairs, with_moment):  # p = 0: moments of either sign
+        mass = moment = size = 0.0
+        for a, b in pairs:
+            mass += b - a
+            if with_moment:
+                c = (b - a) * (b + a)
+                moment += c
+                size += abs(c)
+        return _errs(pairs, k * mass, 0.5 * k * moment, 0.5 * k * size)
+
+    def sums(pairs, with_moment):  # x > 0: every term is positive
+        mass = moment = 0.0
+        for a, b in pairs:
+            if b > 2.0 * a:  # b^q and a^q at least 2^|q| apart
+                mass += (b ** q - a ** q) / q if q else _log_ratio(b, a)
+                if with_moment:
+                    moment += (b ** r - a ** r) / r
+            else:
+                t = log1p((b - a) / a)  # log(b / a), with b - a exact
+                mass += a ** q * expm1(q * t) / q if q else t
+                if with_moment:
+                    moment += a ** r * expm1(r * t) / r
+        return _errs(pairs, k * mass, k * moment, k * moment)
+    return sums if p else lebesgue
 
 
-def _geometric_sums(pairs, with_moment):
-    mass = mass_err = moment = moment_err = 0.0
-    sqrt = math.sqrt
-    for lo, hi in pairs:
-        rlo, rhi = sqrt(lo), sqrt(hi)
-        flo = (1.0 - 1.0 / rlo) / _E2
-        fhi = (1.0 - 1.0 / rhi) / _E2
-        mass += fhi - flo
-        mass_err += _EPS * (abs(fhi) + abs(flo))
-        if with_moment:
-            xlo, xhi = lo * flo, hi * fhi
-            Flo = (rlo - 1.0) ** 2 / _E2
-            Fhi = (rhi - 1.0) ** 2 / _E2
-            moment += xhi - xlo - (Fhi - Flo)
-            moment_err += _EPS * (abs(xhi) + abs(xlo) + Fhi + Flo)
-    return mass, mass_err, moment, moment_err
+def _errs(pairs, mass, moment, moment_size):
+    """A power kernel's sums with their error bounds; mass terms are positive."""
+    rel, tiny = _EPS * (4 + len(pairs)), _TINY * len(pairs)
+    return mass, rel * mass + tiny, moment, rel * moment_size + tiny
 
 
-def _harmonic_sums(pairs, with_moment):
-    mass = mass_err = moment = moment_err = 0.0
-    for lo, hi in pairs:
-        flo = 1.0 - 1.0 / (lo * lo)
-        fhi = 1.0 - 1.0 / (hi * hi)
-        mass += fhi - flo
-        mass_err += _EPS * (abs(fhi) + abs(flo))
-        if with_moment:
-            xlo, xhi = lo * flo, hi * fhi
-            Flo = lo - 2.0 + 1.0 / lo
-            Fhi = hi - 2.0 + 1.0 / hi
-            moment += xhi - xlo - (Fhi - Flo)
-            moment_err += _EPS * (abs(xhi) + abs(xlo) + abs(Fhi) + abs(Flo))
-    return mass, mass_err, moment, moment_err
+def _log_ratio(b, a):
+    """log(b / a) for 0 < a < b, also where b / a overflows."""
+    ratio = b / a
+    return math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)
 
 
-def _logarithmic_sums(pairs, with_moment):
-    mass = mass_err = moment = moment_err = 0.0
-    log = math.log
-    for lo, hi in pairs:
-        flo, fhi = log(lo), log(hi)
-        mass += fhi - flo
-        mass_err += _EPS * (abs(fhi) + abs(flo))
-        if with_moment:
-            xlo, xhi = lo * flo, hi * fhi
-            Flo, Fhi = xlo - lo + 1.0, xhi - hi + 1.0
-            moment += xhi - xlo - (Fhi - Flo)
-            moment_err += _EPS * (abs(xhi) + abs(xlo) + abs(Fhi) + abs(Flo))
-    return mass, mass_err, moment, moment_err
+def _exp(lam):
+    """The kernel of the density ``e^(lam x)``, lam > 0, on the whole line,
+    each interval summed from its top: with ``F = e^(lam b) / lam`` and ``g =
+    1 - e^(-lam (b - a))``, the mass is ``F g`` and the moment ``F (b - a + g
+    (a - 1 / lam))``.  No other factor exceeds 1, and a subnormal ``F`` is
+    off by ``ulp(0.0)`` at most."""
+    exp, expm1, inv = math.exp, math.expm1, 1.0 / lam
 
-
-def _square_sums(pairs, with_moment):
-    mass = mass_err = moment = moment_err = 0.0
-    for lo, hi in pairs:
-        flo, fhi = lo * lo, hi * hi
-        mass += fhi - flo
-        mass_err += _EPS * (fhi + flo)
-        if with_moment:
-            xlo, xhi = lo * flo, hi * fhi
-            Flo = lo ** 3 / 3.0  # ``**`` raises OverflowError where ``*`` gives inf
-            Fhi = hi ** 3 / 3.0
-            moment += xhi - xlo - (Fhi - Flo)
-            moment_err += _EPS * (xhi + xlo + Fhi + Flo)
-    return mass, mass_err, moment, moment_err
-
-
-def _exponential_sums(pairs, with_moment):
-    mass = mass_err = moment = moment_err = 0.0
-    exp = math.exp
-    for lo, hi in pairs:
-        flo, fhi = exp(lo), exp(hi)
-        df = fhi - flo
-        mass += df
-        mass_err += _EPS * (fhi + flo)
-        if with_moment:
-            xlo, xhi = lo * flo, hi * fhi
-            moment += xhi - xlo - df
-            moment_err += _EPS * (abs(xhi) + abs(xlo) + fhi + flo)
-    return mass, mass_err, moment, moment_err
+    def sums(pairs, with_moment):
+        rel, tiny = _EPS * (4 + len(pairs)), _TINY * len(pairs)
+        mass = moment = moment_err = 0.0
+        for a, b in pairs:
+            F = inv * exp(lam * b)
+            g = -expm1(lam * (a - b))
+            mass += F * g
+            if with_moment:
+                moment += F * (b - a + g * (a - inv))
+                moment_err += (rel * F + _TINY) * (b - a + g * (abs(a) + inv))
+        return mass, rel * mass + tiny, moment, moment_err + tiny
+    return sums
 
 
 # id(cdf) -> (cdf, antiderivative, kernel): a spec takes the kernel while its
@@ -434,60 +412,48 @@ def _entry(kernel, **fields) -> MeasureSpec:
 
 
 _CATALOG = {spec.name: spec for spec in (
-    _entry(
-        _lebesgue_sums,
-        name="lebesgue",
-        domain=(-math.inf, math.inf),
-        density=lambda x: 1.0,
-        cdf=lambda x: x,
-        antiderivative=lambda x: 0.5 * x * x,
-        density_shape="increasing",  # constant, weakly monotone
-    ),
-    _entry(
-        _geometric_sums,
-        name="geometric",
-        domain=(0.0, math.inf),
-        density=lambda x: 1.0 / (2.0 * _E2 * x * math.sqrt(x)),
-        cdf=lambda x: (1.0 - 1.0 / math.sqrt(x)) / _E2,
-        antiderivative=lambda x: (math.sqrt(x) - 1.0) ** 2 / _E2,
-        density_shape="decreasing",
-    ),
-    _entry(
-        _harmonic_sums,
-        name="harmonic",
-        domain=(0.0, math.inf),
-        density=lambda x: 2.0 / x ** 3,
-        cdf=lambda x: 1.0 - 1.0 / (x * x),
-        antiderivative=lambda x: x - 2.0 + 1.0 / x,
-        density_shape="decreasing",
-    ),
-    _entry(
-        _logarithmic_sums,
-        name="logarithmic",
-        domain=(0.0, math.inf),
-        density=lambda x: 1.0 / x,
-        cdf=math.log,
-        antiderivative=lambda x: x * math.log(x) - x + 1.0,
-        density_shape="decreasing",
-    ),
-    _entry(
-        _square_sums,
-        name="square",
-        domain=(0.0, math.inf),
-        density=lambda x: 2.0 * x,
-        cdf=lambda x: x * x,
-        antiderivative=lambda x: x ** 3 / 3.0,
-        density_shape="increasing",
-    ),
-    _entry(
-        _exponential_sums,
-        name="exponential",
-        domain=(-math.inf, math.inf),
-        density=math.exp,
-        cdf=math.exp,
-        antiderivative=math.exp,
-        density_shape="increasing",
-    ),
+    _entry(_power(1.0, 0.0),
+           name="lebesgue",
+           domain=(-math.inf, math.inf),
+           density=lambda x: 1.0,
+           cdf=lambda x: x,
+           antiderivative=lambda x: 0.5 * x * x,
+           density_shape="increasing"),  # constant, weakly monotone
+    _entry(_power(0.5 / _E2, -1.5),
+           name="geometric",
+           domain=(0.0, math.inf),
+           density=lambda x: 1.0 / (2.0 * _E2 * x * math.sqrt(x)),
+           cdf=lambda x: (1.0 - 1.0 / math.sqrt(x)) / _E2,
+           antiderivative=lambda x: (math.sqrt(x) - 1.0) ** 2 / _E2,
+           density_shape="decreasing"),
+    _entry(_power(2.0, -3.0),
+           name="harmonic",
+           domain=(0.0, math.inf),
+           density=lambda x: 2.0 / x ** 3,
+           cdf=lambda x: 1.0 - 1.0 / (x * x),
+           antiderivative=lambda x: x - 2.0 + 1.0 / x,
+           density_shape="decreasing"),
+    _entry(_power(1.0, -1.0),
+           name="logarithmic",
+           domain=(0.0, math.inf),
+           density=lambda x: 1.0 / x,
+           cdf=math.log,
+           antiderivative=lambda x: x * math.log(x) - x + 1.0,
+           density_shape="decreasing"),
+    _entry(_power(2.0, 1.0),
+           name="square",
+           domain=(0.0, math.inf),
+           density=lambda x: 2.0 * x,
+           cdf=lambda x: x * x,
+           antiderivative=lambda x: x ** 3 / 3.0,
+           density_shape="increasing"),
+    _entry(_exp(1.0),
+           name="exponential",
+           domain=(-math.inf, math.inf),
+           density=math.exp,
+           cdf=math.exp,
+           antiderivative=math.exp,
+           density_shape="increasing"),
 )}
 
 CATALOG_NAMES = tuple(_CATALOG)

@@ -95,8 +95,11 @@ def test_mean_evaluates_each_primitive_once_per_endpoint():
     spec = dataclasses.replace(
         g, cdf=counted("cdf", g.cdf),
         antiderivative=counted("antiderivative", g.antiderivative))
+    # a second wrapped copy takes the same primitive path, uncounted
+    other = dataclasses.replace(g, cdf=lambda x: g.cdf(x),
+                                antiderivative=lambda x: g.antiderivative(x))
     H = normalize([(2.0, 3.0), (4.0, 5.0), (6.0, 7.0)])
-    assert mean(spec, H) == mean(g, H)
+    assert mean(spec, H) == mean(other, H)
     assert calls == {"cdf": 6, "antiderivative": 6}
 
 
@@ -406,6 +409,16 @@ def test_double_integral_examples():
         pytest.approx(2.0, abs=1e-7)
     assert double_integral_mean(catalog("harmonic"), 2.0, 6.0) == \
         pytest.approx(3.0, abs=1e-7)
+
+
+def test_double_integral_overflow_chains_its_cause():
+    # mean chains the SumOverflow on the same window; so does the double integral
+    spec = dataclasses.replace(catalog("lebesgue"), cdf=None, antiderivative=None)
+    with pytest.raises(DomainError) as info:
+        double_integral_mean(spec, 1e200, 2e200)
+    assert str(info.value) == ("double integral of 'lebesgue' on (1e+200, 2e+200) "
+                               "overflows double precision")
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_double_integral_shares_density_evaluations():
